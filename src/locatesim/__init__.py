@@ -11,7 +11,7 @@ from .kernel import EventQueue, RandomStream
 from .protocol import (FloodingBehavior, LocateBehavior, Message, ProtocolParams,
                        acceptance_window, distance_bias, dtn_forward_probability,
                        forwarding_window)
-from .radio import RadioProfile, broadcast, lora_profile, pdr, resolve_collisions, wifi_profile
+from .radio import RadioProfile, broadcast, collided, lora_profile, pdr, wifi_profile
 from .world import World, distance, solver_count
 
 __version__ = "0.1.0"
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Aggregate", "EventQueue", "FloodingBehavior", "LocateBehavior", "Message",
     "ProtocolParams", "RadioProfile", "RandomStream", "RunResult", "ScenarioConfig",
-    "SweepRow", "World", "acceptance_window", "aggregate", "broadcast", "distance",
-    "distance_bias", "dtn_forward_probability", "forwarding_window", "lora_profile",
-    "make_behavior", "pdr", "resolve_collisions", "run_batch", "run_once",
-    "solver_count", "sweep", "wifi_profile",
+    "SweepRow", "World", "acceptance_window", "aggregate", "broadcast", "collided",
+    "distance", "distance_bias", "dtn_forward_probability", "forwarding_window",
+    "lora_profile", "make_behavior", "pdr", "run_batch", "run_once", "solver_count",
+    "sweep", "wifi_profile",
 ]

@@ -12,7 +12,7 @@ from . import protocol
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
 from .protocol import (CANCEL_TIMER, E_REQ, MARK_SOLVED, SET_TIMER, START_POLL,
                        STOP_POLL, TRANSMIT, FloodingBehavior, LocateBehavior, ProtocolParams)
-from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, lora_profile
+from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
 from .world import Role, World
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
@@ -46,6 +46,10 @@ class ScenarioConfig:
             raise ValueError(f"solver fraction {self.tau} outside [0, 1]")
         if self.runs < 1:
             raise ValueError(f"run count {self.runs} must be at least 1")
+        for name in ("tau", "side_m", "horizon_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} must be finite")
         if self.horizon_s <= 0.0:
             raise ValueError(f"horizon {self.horizon_s} must be positive")
         if self.side_m <= 0.0:
@@ -107,7 +111,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
 
     queue = EventQueue()
     states: dict[int, protocol.EmergencyState] = {}
-    timers: dict[tuple[int, str], list] = {}
     polls: dict[int, list] = {}
     busy: dict[int, list[tuple[float, float]]] = {}
     aware = {SOURCE_ID}
@@ -139,20 +142,15 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     erep_count += 1
                 if trace is not None:
                     trace.append(("tx", t, node, msg.kind, msg.ttl))
-                for r in broadcast(world, node, t, msg, profile, stream):
-                    queue.schedule(r.end, DELIVERY, r.receiver, msg)
+                end = t + airtime
+                for receiver in broadcast(world, node, t, profile, stream):
+                    queue.schedule(end, DELIVERY, receiver, msg)
                     if collision:
-                        busy.setdefault(r.receiver, []).append((r.start, r.end))
+                        busy.setdefault(receiver, []).append((t, end))
             elif op == SET_TIMER:
-                slot, delay = act[1], act[2]
-                key = (node, slot)
-                if key in timers:
-                    raise RuntimeError(f"timer slot {slot!r} already armed for node {node}")
-                timers[key] = queue.schedule(t + delay, TIMER, node, slot)
+                st.live[act[1]] = queue.schedule(t + act[2], TIMER, node, act[1])
             elif op == CANCEL_TIMER:
-                handle = timers.pop((node, act[1]), None)
-                if handle is not None:
-                    queue.cancel(handle)
+                queue.cancel(act[2])
             elif op == MARK_SOLVED:
                 if node not in solved:
                     solved.add(node)
@@ -191,7 +189,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         node = ev.node
         if kind == DELIVERY:
             msg = ev.data
-            if collision and _collided(busy[node], t - airtime, t):
+            if collision and collided(busy[node], t - airtime, t):
                 continue
             if msg.kind == E_REQ:
                 if node not in aware:
@@ -205,10 +203,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             st = state_of(node)
             interpret(st, behavior.on_delivery(st, msg, t, world.position_at(node, t), stream), t)
         elif kind == TIMER:
-            slot = ev.data
-            timers.pop((node, slot), None)
             st = state_of(node)
-            interpret(st, behavior.on_timer(st, slot, t, world.position_at(node, t), stream), t)
+            interpret(st, behavior.on_timer(st, ev.data, t, world.position_at(node, t), stream), t)
         elif kind == LEG_END:
             leg = world.start_leg(node, t, stream)
             queue.schedule(leg.end, LEG_END, node, None)
@@ -225,19 +221,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             break
 
     return RunResult(run_index, seed, ert is not None, ert, ereq_count, erep_count, end_time)
-
-
-def _collided(intervals: list[tuple[float, float]], start: float, end: float) -> bool:
-    """Inclusive-overlap test against the receiver's other receptions; prunes stale entries."""
-    hits = 0
-    keep = []
-    for s, e in intervals:
-        if e >= start:
-            keep.append((s, e))
-            if s <= end:
-                hits += 1
-    intervals[:] = keep
-    return hits >= 2  # the interval under test is its own first hit
 
 
 def _run_indexed(args: tuple[ScenarioConfig, int]) -> RunResult:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .kernel import RandomStream
+from .world import distance
 
 # message kinds
 E_REQ = 0  # help request
@@ -39,7 +40,7 @@ FLOOD_REP = "flood_rep"  # baseline reply slot
 # action opcodes returned by handlers
 TRANSMIT = 0  # (TRANSMIT, message)
 SET_TIMER = 1  # (SET_TIMER, slot, delay_s)
-CANCEL_TIMER = 2  # (CANCEL_TIMER, slot)
+CANCEL_TIMER = 2  # (CANCEL_TIMER, slot, queue handle)
 MARK_SOLVED = 3  # (MARK_SOLVED,)
 START_POLL = 4  # (START_POLL,)  begin 1 Hz movement polling
 STOP_POLL = 5  # (STOP_POLL,)
@@ -68,6 +69,11 @@ class ProtocolParams:
     e_thr_s: float = 1800.0  # resolution deadline for the success ratio
 
     def __post_init__(self) -> None:
+        for name in ("cw_min_s", "cw_max_s", "gamma_per_m", "radius_m", "dtn_dist_m",
+                     "p_start", "q_flood", "e_thr_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} must be finite")
         if not (0.0 <= self.cw_min_s < self.cw_max_s):
             raise ValueError(f"need 0 <= cw_min < cw_max, got [{self.cw_min_s}, {self.cw_max_s}]")
         if self.gamma_per_m <= 0.0 or self.radius_m <= 0.0:
@@ -121,7 +127,7 @@ class EmergencyState:
     is_solver: bool
     is_source: bool
     phase: int = UNAWARE
-    live: set = field(default_factory=set)  # timer slots currently armed
+    live: dict = field(default_factory=dict)  # armed timer slot -> queue handle
     stored_req: Message | None = None  # first adopted request copy
     pending_req: Message | None = None  # baseline relay payload
     cached_rep: Message | None = None  # freshest reply seen
@@ -141,23 +147,22 @@ class _SourceMixin:
 
     params: ProtocolParams
 
+    def new_state(self, node: int, emergency: int, is_solver: bool,
+                  is_source: bool) -> EmergencyState:
+        return EmergencyState(node, emergency, is_solver, is_source)
+
     def start_emergency(self, st: EmergencyState, t: float,
                         pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         """First broadcast of a new emergency, plus the periodic beacon timer."""
-        p = self.params
-        msg = Message(E_REQ, st.emergency, st.node, None, st.node, pos, p.ttl_init)
         st.phase = DTN_ACTIVE
-        acts: list[tuple] = [(TRANSMIT, msg)]
-        _set(st, acts, DTN, stream.uniform(p.cw_min_s, p.cw_max_s))
-        return acts
+        return self._source_beacon(st, t, pos, stream)
 
     def _source_on_delivery(self, st: EmergencyState, msg: Message) -> list[tuple]:
         # the source ignores requests; the first reply ends its beaconing
         if msg.kind != E_REP or st.phase == SOLVED:
             return []
-        st.phase = SOLVED
-        acts: list[tuple] = [(MARK_SOLVED,)]
-        _cancel(st, acts, DTN)
+        acts: list[tuple] = []
+        _become_solved(st, acts)
         return acts
 
     def _source_beacon(self, st: EmergencyState, t: float,
@@ -170,14 +175,27 @@ class _SourceMixin:
 
 
 def _set(st: EmergencyState, acts: list[tuple], slot: str, delay: float) -> None:
-    st.live.add(slot)
+    if slot in st.live:
+        raise RuntimeError(f"timer slot {slot!r} already armed for node {st.node}")
+    st.live[slot] = None  # the runner stores the queue handle when it arms the timer
     acts.append((SET_TIMER, slot, delay))
 
 
 def _cancel(st: EmergencyState, acts: list[tuple], slot: str) -> None:
     if slot in st.live:
-        st.live.discard(slot)
-        acts.append((CANCEL_TIMER, slot))
+        acts.append((CANCEL_TIMER, slot, st.live.pop(slot)))
+
+
+def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
+    """The absorbing transition: stop spreading the request, carrying it and polling."""
+    st.phase = SOLVED
+    acts.append((MARK_SOLVED,))
+    for slot in (GUARD, FORWARD, DTN, FLOOD_REQ):
+        _cancel(st, acts, slot)
+    st.freeze_pos = None
+    st.dtn_remaining_s = -1.0
+    st.pending_forward = -1
+    acts.append((STOP_POLL,))
 
 
 class LocateBehavior(_SourceMixin):
@@ -190,10 +208,6 @@ class LocateBehavior(_SourceMixin):
     def __init__(self, params: ProtocolParams, dtn_optimized: bool = True) -> None:
         self.params = params
         self.dtn_optimized = dtn_optimized
-
-    def new_state(self, node: int, emergency: int, is_solver: bool,
-                  is_source: bool) -> EmergencyState:
-        return EmergencyState(node, emergency, is_solver, is_source)
 
     # -- deliveries ---------------------------------------------------------
 
@@ -209,15 +223,7 @@ class LocateBehavior(_SourceMixin):
                   pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
         if st.phase != SOLVED:
-            st.phase = SOLVED
-            acts.append((MARK_SOLVED,))
-            for slot in (GUARD, FORWARD, DTN):
-                _cancel(st, acts, slot)
-            if st.freeze_pos is not None:
-                st.freeze_pos = None
-                st.dtn_remaining_s = -1.0
-            acts.append((STOP_POLL,))
-            st.pending_forward = -1
+            _become_solved(st, acts)
         # someone already answered: drop any pending reply of our own
         _cancel(st, acts, ACCEPT)
         st.pending_reply_ttl = -1
@@ -226,7 +232,7 @@ class LocateBehavior(_SourceMixin):
         if msg.ttl >= 1 and FORWARD not in st.live \
                 and t - st.erep_sent_at >= self.params.cw_max_s:
             st.pending_forward = E_REP
-            d = _dist(msg.tx_pos, pos)
+            d = distance(msg.tx_pos, pos)
             _set(st, acts, FORWARD, stream.uniform(0.0, forwarding_window(d, self.params)))
         return acts
 
@@ -239,7 +245,7 @@ class LocateBehavior(_SourceMixin):
             # a solver answers every request it can, whatever its phase
             if msg.ttl >= 1 and ACCEPT not in st.live:
                 st.pending_reply_ttl = msg.ttl - 1
-                d = _dist(msg.tx_pos, pos)
+                d = distance(msg.tx_pos, pos)
                 _set(st, acts, ACCEPT, stream.uniform(0.0, acceptance_window(d, self.params)))
             if st.phase == UNAWARE:
                 st.phase = ACCEPTING
@@ -277,7 +283,7 @@ class LocateBehavior(_SourceMixin):
             if st.cached_rep is not None and st.cached_rep.ttl >= 1 \
                     and ACCEPT not in st.live:
                 st.pending_reply_ttl = -1
-                d = _dist(msg.tx_pos, pos)
+                d = distance(msg.tx_pos, pos)
                 _set(st, acts, ACCEPT, stream.uniform(0.0, acceptance_window(d, self.params)))
         return acts
 
@@ -285,7 +291,7 @@ class LocateBehavior(_SourceMixin):
 
     def on_timer(self, st: EmergencyState, slot: str, t: float,
                  pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
-        st.live.discard(slot)
+        st.live.pop(slot, None)
         if st.is_source:
             return self._source_beacon(st, t, pos, stream) if slot == DTN else []
         if slot == ACCEPT:
@@ -309,15 +315,7 @@ class LocateBehavior(_SourceMixin):
             st.erep_sent_at = t
             acts.append((TRANSMIT, rep))
             if st.phase != SOLVED:
-                st.phase = SOLVED
-                acts.append((MARK_SOLVED,))
-                for slot in (GUARD, FORWARD, DTN):
-                    _cancel(st, acts, slot)
-                if st.freeze_pos is not None:
-                    st.freeze_pos = None
-                    st.dtn_remaining_s = -1.0
-                acts.append((STOP_POLL,))
-                st.pending_forward = -1
+                _become_solved(st, acts)
             return acts
         # cached reply on behalf of an earlier solver
         rep = st.cached_rep
@@ -336,7 +334,7 @@ class LocateBehavior(_SourceMixin):
         if st.stored_req.ttl >= 1:
             st.phase = FORWARDING
             st.pending_forward = E_REQ
-            d = _dist(st.stored_req.tx_pos, pos)
+            d = distance(st.stored_req.tx_pos, pos)
             _set(st, acts, FORWARD, stream.uniform(0.0, forwarding_window(d, self.params)))
         else:
             # nothing left to forward; carry silently
@@ -386,7 +384,7 @@ class LocateBehavior(_SourceMixin):
         acts: list[tuple] = []
         if st.phase != DTN_FROZEN:
             return acts  # dormant; freezing emits a fresh START_POLL
-        if _dist(pos, st.freeze_pos) >= self.params.dtn_dist_m:
+        if distance(pos, st.freeze_pos) >= self.params.dtn_dist_m:
             st.phase = DTN_ACTIVE
             st.freeze_pos = None
             self._arm_dtn(st, acts, t, st.dtn_remaining_s)
@@ -432,10 +430,6 @@ class FloodingBehavior(_SourceMixin):
         self.params = params
         self.relay_probability = relay_probability
 
-    def new_state(self, node: int, emergency: int, is_solver: bool,
-                  is_source: bool) -> EmergencyState:
-        return EmergencyState(node, emergency, is_solver, is_source)
-
     def _coin(self, stream: RandomStream) -> bool:
         if self.relay_probability is None:
             return True
@@ -454,9 +448,7 @@ class FloodingBehavior(_SourceMixin):
         acts: list[tuple] = []
         first = st.phase != SOLVED
         if first:
-            st.phase = SOLVED
-            acts.append((MARK_SOLVED,))
-            _cancel(st, acts, FLOOD_REQ)  # solved nodes stop spreading the request
+            _become_solved(st, acts)
         st.cached_rep = msg
         if first and not st.rep_done and msg.ttl >= 1 and FLOOD_REP not in st.live:
             st.rep_done = True
@@ -493,7 +485,7 @@ class FloodingBehavior(_SourceMixin):
 
     def on_timer(self, st: EmergencyState, slot: str, t: float,
                  pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
-        st.live.discard(slot)
+        st.live.pop(slot, None)
         if st.is_source:
             return self._source_beacon(st, t, pos, stream) if slot == DTN else []
         if slot == FLOOD_REQ:
@@ -515,9 +507,7 @@ class FloodingBehavior(_SourceMixin):
             st.erep_sent_at = t
             acts.append((TRANSMIT, rep))
             if st.phase != SOLVED:
-                st.phase = SOLVED
-                acts.append((MARK_SOLVED,))
-                _cancel(st, acts, FLOOD_REQ)
+                _become_solved(st, acts)
             return acts
         rep = st.cached_rep
         if rep is not None and rep.ttl >= 1:
@@ -529,7 +519,3 @@ class FloodingBehavior(_SourceMixin):
     def on_freeze_poll(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         return []  # baselines never freeze
-
-
-def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass
-from typing import Any
 
 from .kernel import RandomStream
 from .world import World, distance
@@ -25,6 +24,10 @@ class RadioProfile:
     interference: str = INTERFERENCE_NONE
 
     def __post_init__(self) -> None:
+        for name in ("range_m", "airtime_s", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"radio {name} {value} must be finite")
         if self.range_m <= 0.0:
             raise ValueError(f"radio range {self.range_m} must be positive")
         if self.airtime_s <= 0.0:
@@ -43,14 +46,6 @@ def wifi_profile(**overrides) -> RadioProfile:
     return RadioProfile(**{"range_m": 100.0, "airtime_s": 0.4, **overrides})
 
 
-@dataclass(slots=True)
-class Reception:
-    receiver: int
-    start: float  # s, transmission start
-    end: float  # s, start + airtime; the copy is delivered at this instant
-    message: Any
-
-
 def pdr(d: float, profile: RadioProfile) -> float:
     """Packet delivery ratio at distance d; exactly zero beyond range."""
     if d < 0.0:
@@ -63,9 +58,9 @@ def pdr(d: float, profile: RadioProfile) -> float:
     return p if p > 0.0 else 0.0
 
 
-def broadcast(world: World, tx_node: int, t: float, message: Any,
-              profile: RadioProfile, stream: RandomStream) -> list[Reception]:
-    """Receptions produced by one transmission starting at time t.
+def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
+              stream: RandomStream) -> list[int]:
+    """Ids of the nodes that receive a transmission starting at time t.
 
     Membership is decided from positions at the transmission start; the
     transmitter never hears itself. Loss draws happen in node-id order, and
@@ -73,8 +68,7 @@ def broadcast(world: World, tx_node: int, t: float, message: Any,
     unit-disk model consumes no randomness.
     """
     tx_pos = world.position_at(tx_node, t)
-    end = t + profile.airtime_s
-    out: list[Reception] = []
+    out: list[int] = []
     for rec in world.nodes:
         if rec.id == tx_node:
             continue
@@ -83,23 +77,24 @@ def broadcast(world: World, tx_node: int, t: float, message: Any,
             continue
         p = pdr(d, profile)
         if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):
-            out.append(Reception(rec.id, t, end, message))
+            out.append(rec.id)
     return out
 
 
-def resolve_collisions(receptions: list[Reception]) -> list[Reception]:
-    """Drop every reception that overlaps another at the same receiver (inclusive bounds)."""
-    by_receiver: dict[int, list[Reception]] = defaultdict(list)
-    for r in receptions:
-        by_receiver[r.receiver].append(r)
-    survivors: list[Reception] = []
-    for group in by_receiver.values():
-        doomed = [False] * len(group)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if group[j].start <= group[i].end and group[i].start <= group[j].end:
-                    doomed[i] = True
-                    doomed[j] = True
-        survivors.extend(r for i, r in enumerate(group) if not doomed[i])
-    survivors.sort(key=lambda r: (r.start, r.receiver))
-    return survivors
+def collided(intervals: list[tuple[float, float]], start: float, end: float) -> bool:
+    """Whether the reception [start, end] overlaps another one at the same receiver.
+
+    `intervals` holds the receiver's (start, end) receptions, the one under
+    test included; overlap is inclusive at both ends. Called in delivery
+    order, it drops the entries that ended before `start`: every frame has the
+    same airtime, so no later reception can overlap them either.
+    """
+    hits = 0
+    keep = []
+    for s, e in intervals:
+        if e >= start:
+            keep.append((s, e))
+            if s <= end:
+                hits += 1
+    intervals[:] = keep
+    return hits >= 2  # the interval under test is its own first hit

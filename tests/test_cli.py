@@ -231,6 +231,20 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_main_non_finite_horizon_exits_2(horizon, capsys):
+    assert main(["run", "--n", "5", "--tau", "0.2", "--runs", "1",
+                 "--horizon", horizon]) == 2
+    assert f"horizon_s {horizon} must be finite" in capsys.readouterr().err
+
+
+def test_main_non_finite_radio_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 5\ntau = 0.2\nruns = 1\nradio_range = nan\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "range_m nan must be finite" in capsys.readouterr().err
+
+
 def test_main_unwritable_output_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -1,13 +1,16 @@
 """End-to-end runs, batch determinism, aggregation math, and sweep assembly."""
 
 import dataclasses
+import math
 
 import pytest
 
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_once, sweep, worker_count)
 from locatesim.protocol import E_REQ, SOLVED
-from topologies import pair_world, static_world
+from locatesim.radio import lora_profile
+from locatesim.world import Role
+from topologies import line_world, pair_world, static_world
 
 
 def small(**kw):
@@ -27,6 +30,10 @@ def test_config_validation():
         ScenarioConfig(runs=0)
     with pytest.raises(ValueError):
         ScenarioConfig(horizon_s=0.0)
+    for field in ("horizon_s", "side_m"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ScenarioConfig(**{field: bad})
 
 
 def test_static_solver_pair_resolves_within_one_window():
@@ -93,6 +100,81 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "many")
     with pytest.raises(ValueError):
         worker_count(4)
+
+
+@pytest.mark.parametrize("airtime", [0.4, 1.0])
+def test_copies_land_one_airtime_after_the_transmission(airtime):
+    trace = []
+    run_once(small(n=2, runs=1, radio=lora_profile(airtime_s=airtime)), 0,
+             world=line_world(), trace=trace)
+    tx_times = [e[1] for e in trace if e[0] == "tx"]
+    aware = [e for e in trace if e[0] == "aware"]
+    assert aware[0] == ("aware", airtime, 1)  # the relay hears the first beacon
+    assert len(aware) == 2
+    for _, t, _ in aware:
+        assert any(tx + airtime == t for tx in tx_times)
+
+
+def _twin_solvers():
+    # two solvers 1 m either side of the source: both reply within 0.1 s of
+    # each other, so their replies always overlap at the source
+    return static_world(2500.0, [(1250.0, 1250.0), (1251.0, 1250.0, Role.SOLVER),
+                                 (1249.0, 1250.0, Role.SOLVER)])
+
+
+def test_collisions_drop_overlapping_replies_end_to_end():
+    for idx in range(3):
+        clean = run_once(small(n=2, runs=1, horizon_s=120.0), idx, world=_twin_solvers())
+        assert clean.solved and clean.ert_s <= 0.9
+        cfg = small(n=2, runs=1, horizon_s=120.0,
+                    radio=lora_profile(interference="collision"))
+        jammed = run_once(cfg, idx, world=_twin_solvers())
+        assert not jammed.solved
+        assert jammed.end_time_s == 120.0
+        assert jammed.ereq_count >= 5  # the source keeps beaconing into the collisions
+
+
+# RunResult fields recorded before the collision rule, timer registry and
+# solved transition were each reduced to one implementation; any change to
+# them is a change to the simulator's outputs
+PINNED = [
+    ("locate", 0, True, 10.70793022263093, 17, 4, 1800.0),
+    ("locate", 1, True, 24.022045785191988, 9, 6, 239.19923467365533),
+    ("locate", 2, False, None, 179, 0, 1800.0),
+    ("locate-basic", 0, True, 10.70793022263093, 17, 4, 1800.0),
+    ("locate-basic", 1, True, 24.022045785191988, 35, 5, 1800.0),
+    ("locate-basic", 2, False, None, 191, 0, 1800.0),
+    ("flooding", 0, True, 13.996477835021594, 2, 4, 1800.0),
+    ("flooding", 1, True, 23.23227581796452, 7, 5, 1800.0),
+    ("flooding", 2, False, None, 148, 0, 1800.0),
+    ("probabilistic", 0, True, 13.996477835021594, 1, 2, 1800.0),
+    ("probabilistic", 1, True, 591.7237391551736, 48, 1, 1800.0),
+    ("probabilistic", 2, False, None, 148, 0, 1800.0),
+]
+
+PINNED_COLLISION = [  # locate, smooth loss, collisions on, 2.5 km arena
+    (0, True, 4.256656131586924, 1, 4, 4.256656131586924),
+    (1, True, 8.897120637146584, 4, 27, 37.26015449615932),
+    (2, True, 62.59968342206183, 16, 24, 95.18707473273054),
+    (3, True, 2.0402213103093434, 1, 2, 3.9710223170334737),
+]
+
+
+def _fields(res):
+    return (res.solved, res.ert_s, res.ereq_count, res.erep_count, res.end_time_s)
+
+
+def test_pinned_run_results():
+    for protocol, idx, *expected in PINNED:
+        cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol, horizon_s=1800.0)
+        assert _fields(run_once(cfg, idx)) == tuple(expected), (protocol, idx)
+
+
+def test_pinned_collision_run_results():
+    cfg = ScenarioConfig(n=40, tau=0.15, side_m=2500.0, horizon_s=1800.0,
+                         radio=lora_profile(pdr_model="smooth", interference="collision"))
+    for idx, *expected in PINNED_COLLISION:
+        assert _fields(run_once(cfg, idx)) == tuple(expected), idx
 
 
 def run_result(idx, solved, ert, ereq=10):

@@ -99,6 +99,10 @@ def test_params_validation():
         ProtocolParams(ttl_init=-1)
     with pytest.raises(ValueError):
         ProtocolParams(e_thr_s=0.0)
+    for field in ("cw_max_s", "gamma_per_m", "radius_m", "dtn_dist_m", "e_thr_s"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ProtocolParams(**{field: bad})
 
 
 # -- helpers for handler tests -------------------------------------------------
@@ -178,6 +182,19 @@ def test_source_ignores_requests_and_stops_on_first_reply():
     assert MARK_SOLVED in ops(acts)
     assert (CANCEL_TIMER, DTN) in [(a[0], a[1]) for a in acts if a[0] == CANCEL_TIMER]
     assert st.phase == SOLVED
+
+
+def test_timer_registry_holds_the_runner_handle():
+    b = locate()
+    st = source_state(b)
+    b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
+    with pytest.raises(RuntimeError, match="already armed"):
+        b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
+    handle = object()
+    st.live[DTN] = handle  # what the runner stores when it arms the timer
+    acts = b.on_delivery(st, rep(), 6.0, ORIGIN, RandomStream(2))
+    assert (CANCEL_TIMER, DTN, handle) in acts
+    assert st.live == {}
     assert b.on_delivery(st, rep(), 7.0, ORIGIN, RandomStream(2)) == []
 
 

@@ -1,11 +1,12 @@
-"""Delivery-ratio models, broadcast membership, and the optional collision filter."""
+"""Delivery-ratio models, broadcast membership, and the collision rule."""
+
+import math
 
 import pytest
 
 from locatesim.kernel import RandomStream
-from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, RadioProfile, Reception,
-                             broadcast, lora_profile, pdr, resolve_collisions,
-                             wifi_profile)
+from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, RadioProfile, broadcast,
+                             collided, lora_profile, pdr, wifi_profile)
 from locatesim.world import Role
 
 from topologies import static_world
@@ -27,6 +28,10 @@ def test_profile_validation():
         RadioProfile(pdr_model="fancy")
     with pytest.raises(ValueError):
         RadioProfile(interference="capture")
+    for bad in (math.nan, math.inf):
+        for field in ("range_m", "airtime_s", "beta"):
+            with pytest.raises(ValueError, match="finite"):
+                RadioProfile(**{field: bad})
 
 
 def test_unit_disk_pdr_is_a_step():
@@ -60,77 +65,56 @@ def _triangle(spacing: float):
     ])
 
 
-def test_broadcast_membership_and_timing():
+def test_broadcast_membership():
     world = _triangle(400.0)
-    stream = RandomStream(3)
-    out = broadcast(world, 0, 10.0, "msg", lora_profile(), stream)
-    assert [r.receiver for r in out] == [1]
-    r = out[0]
-    assert (r.start, r.end, r.message) == (10.0, 10.4, "msg")
+    assert broadcast(world, 0, 10.0, lora_profile(), RandomStream(3)) == [1]
 
 
 def test_broadcast_excludes_transmitter():
     world = _triangle(100.0)
-    out = broadcast(world, 1, 0.0, "msg", lora_profile(), RandomStream(3))
-    assert all(r.receiver != 1 for r in out)
+    out = broadcast(world, 1, 0.0, lora_profile(), RandomStream(3))
+    assert 1 not in out
 
 
 def test_unit_disk_broadcast_consumes_no_randomness():
     world = _triangle(250.0)
     stream = RandomStream(99)
-    broadcast(world, 0, 0.0, "msg", lora_profile(), stream)
+    broadcast(world, 0, 0.0, lora_profile(), stream)
     assert stream.random() == RandomStream(99).random()
 
 
 def test_smooth_broadcast_draws_are_seed_deterministic():
     world = _triangle(420.0)
     profile = lora_profile(pdr_model=SMOOTH)
-    got_a = [broadcast(world, 0, 0.0, "m", profile, RandomStream(s)) for s in range(30)]
-    got_b = [broadcast(world, 0, 0.0, "m", profile, RandomStream(s)) for s in range(30)]
-    assert [[r.receiver for r in out] for out in got_a] \
-        == [[r.receiver for r in out] for out in got_b]
+    got_a = [broadcast(world, 0, 0.0, profile, RandomStream(s)) for s in range(30)]
+    got_b = [broadcast(world, 0, 0.0, profile, RandomStream(s)) for s in range(30)]
+    assert got_a == got_b
     # at 420 m the delivery ratio is ~0.5, so both outcomes must occur
     counts = {len(out) for out in got_a}
     assert counts == {0, 1}
 
 
-def _rx(receiver: int, start: float, end: float) -> Reception:
-    return Reception(receiver, start, end, "m")
+def _survivors(receptions: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
+    """Replay (receiver, start, end) receptions through the rule in delivery order."""
+    busy: dict[int, list[tuple[float, float]]] = {}
+    for receiver, start, end in receptions:
+        busy.setdefault(receiver, []).append((start, end))
+    return [r for r in sorted(receptions, key=lambda r: r[2])
+            if not collided(busy[r[0]], r[1], r[2])]
 
 
-def test_disjoint_receptions_survive():
-    out = resolve_collisions([_rx(1, 0.0, 0.4), _rx(1, 0.5, 0.9)])
-    assert len(out) == 2
-
-
-def test_overlapping_receptions_both_drop():
-    out = resolve_collisions([_rx(1, 0.0, 0.4), _rx(1, 0.3, 0.7)])
-    assert out == []
-
-
-def test_contained_reception_drops_both():
-    out = resolve_collisions([_rx(1, 0.0, 2.0), _rx(1, 0.5, 0.9)])
-    assert out == []
-
-
-def test_overlap_chain_drops_all_three():
-    out = resolve_collisions([_rx(1, 0.0, 1.0), _rx(1, 0.9, 1.9), _rx(1, 1.8, 2.8)])
-    assert out == []
-
-
-def test_touching_endpoints_count_as_overlap():
-    out = resolve_collisions([_rx(1, 0.0, 0.4), _rx(1, 0.4, 0.8)])
-    assert out == []
-
-
-def test_receivers_do_not_interfere_with_each_other():
-    out = resolve_collisions([_rx(1, 0.0, 0.4), _rx(2, 0.1, 0.5), _rx(3, 0.2, 0.6)])
-    assert sorted(r.receiver for r in out) == [1, 2, 3]
-
-
-def test_survivors_sorted_by_start_then_receiver():
-    out = resolve_collisions([_rx(2, 1.0, 1.4), _rx(1, 1.0, 1.4), _rx(3, 0.0, 0.4)])
-    assert [(r.receiver, r.start) for r in out] == [(3, 0.0), (1, 1.0), (2, 1.0)]
+@pytest.mark.parametrize("receptions, survivors", [
+    pytest.param([(1, 0.0, 0.4), (1, 0.5, 0.9)], [(1, 0.0, 0.4), (1, 0.5, 0.9)],
+                 id="disjoint"),
+    pytest.param([(1, 0.0, 0.4), (1, 0.3, 0.7)], [], id="partial-overlap"),
+    pytest.param([(1, 0.0, 2.0), (1, 0.5, 0.9)], [], id="containment"),
+    pytest.param([(1, 0.0, 1.0), (1, 0.9, 1.9), (1, 1.8, 2.8)], [], id="chain-of-three"),
+    pytest.param([(1, 0.0, 0.4), (1, 0.4, 0.8)], [], id="touching-endpoints"),
+    pytest.param([(1, 0.0, 0.4), (2, 0.1, 0.5), (3, 0.2, 0.6)],
+                 [(1, 0.0, 0.4), (2, 0.1, 0.5), (3, 0.2, 0.6)], id="separate-receivers"),
+])
+def test_collision_rule(receptions, survivors):
+    assert _survivors(receptions) == survivors
 
 
 def test_collision_constant_matches_profile_field():
