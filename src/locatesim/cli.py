@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (PROTOCOLS, SWEEP_AXES, Aggregate, RunResult, ScenarioConfig,
-                          SweepRow, run_batch, sweep)
+                          SweepRow, run_batch, sweep, sweep_points)
 from .protocol import (ProtocolParams, acceptance_window, distance_bias,
                        dtn_forward_probability, forwarding_window)
 from .radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
@@ -368,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         config = scenario_from_settings(settings)
         if args.command == "sweep":
             axis, values, names = sweep_plan(settings)
+            try:
+                sweep_points(config, axis, values, names or None)
+            except ValueError as exc:
+                raise ConfigError(f"sweep_values: {exc}") from exc
         out_dir = settings.get("out", ".")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

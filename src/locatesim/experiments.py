@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 from . import protocol
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
 from .protocol import (CANCEL_TIMER, E_REQ, MARK_SOLVED, SET_TIMER, START_POLL,
-                       STOP_POLL, TRANSMIT, FloodingBehavior, LocateBehavior, ProtocolParams)
+                       STOP_POLL, TRANSMIT, FloodingBehavior, LocateBehavior, ProtocolParams,
+                       may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
 from .world import Role, World
 
@@ -92,12 +93,18 @@ def make_behavior(name: str, params: ProtocolParams):
 
 def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
              trace: list | None = None) -> RunResult:
-    """Simulate one emergency to resolution, horizon, or queue exhaustion.
+    """Simulate one emergency to resolution, quiescence, horizon, or queue exhaustion.
 
     The per-run seed is base_seed XOR run_index. A caller-supplied world skips
     random placement (the seed then drives only protocol timing and losses).
     When `trace` is given it collects ("phase", t, node, phase), ("tx", t,
     node, kind, ttl) and ("aware", t, node) tuples for inspection.
+
+    Quiescence: no copy is in flight and no node may transmit again without
+    hearing one (`protocol.may_transmit`), so the counts and the resolution
+    time are final. In a world with a mobile node the queue would then hold
+    only leg ends and idle ticks until the horizon, so the run stops with
+    end_time_s = horizon_s; static worlds run on to drain or horizon.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -116,6 +123,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     aware = {SOURCE_ID}
     solved: set[int] = set()
     unsolved_aware = 1
+    in_flight = 0  # scheduled deliveries not yet popped
+    able: set[int] = set()  # nodes for which may_transmit holds
     ereq_count = 0
     erep_count = 0
     ert: float | None = None
@@ -130,7 +139,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         return st
 
     def interpret(st: protocol.EmergencyState, acts: list[tuple], t: float) -> None:
-        nonlocal ereq_count, erep_count, unsolved_aware
+        nonlocal ereq_count, erep_count, unsolved_aware, in_flight
         node = st.node
         for act in acts:
             op = act[0]
@@ -144,6 +153,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     trace.append(("tx", t, node, msg.kind, msg.ttl))
                 end = t + airtime
                 for receiver in broadcast(world, node, t, profile, stream):
+                    in_flight += 1
                     queue.schedule(end, DELIVERY, receiver, msg)
                     if collision:
                         busy.setdefault(receiver, []).append((t, end))
@@ -165,9 +175,16 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     queue.cancel(handle)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")
+        # handlers change only their own node, so only its flag can have moved
+        if may_transmit(st):
+            able.add(node)
+        else:
+            able.discard(node)
 
+    mobile = False
     for rec in world.nodes:
         if not rec.stationary:
+            mobile = True
             queue.schedule(rec.leg.end, LEG_END, rec.id, None)
 
     src = state_of(SOURCE_ID)
@@ -176,6 +193,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     phase_seen: dict[int, int] = {}
     end_time = 0.0
     while True:
+        if mobile and not able and not in_flight:
+            end_time = horizon  # quiescent: leg ends alone would carry the run to the horizon
+            break
         t_next = queue.peek()
         if t_next is None:
             end_time = queue.now  # drained: every aware node reached a rest state
@@ -188,6 +208,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         kind = ev.kind
         node = ev.node
         if kind == DELIVERY:
+            in_flight -= 1
             msg = ev.data
             if collision and collided(busy[node], t - airtime, t):
                 continue
@@ -295,6 +316,20 @@ class SweepRow:
 SWEEP_AXES = ("tau", "n", "p_start")
 
 
+def sweep_points(config: ScenarioConfig, axis: str, values: list[float],
+                 protocols: list[str] | None = None) -> list[ScenarioConfig]:
+    """The config of every (protocol, axis value) point, in row order.
+
+    Raises ValueError for a bad axis or value, before anything is simulated.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
+    if not values:
+        raise ValueError("sweep needs at least one axis value")
+    return [_at_point(config, name, axis, value)
+            for name in protocols or [config.protocol] for value in values]
+
+
 def sweep(config: ScenarioConfig, axis: str, values: list[float],
           protocols: list[str] | None = None) -> list[SweepRow]:
     """Run a batch per (protocol, axis value); all rows share the base seed.
@@ -302,16 +337,10 @@ def sweep(config: ScenarioConfig, axis: str, values: list[float],
     Sharing seeds gives every row the same sequence of worlds, so protocol
     comparisons at a point are paired rather than independent.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
     rows = []
-    for name in protocols or [config.protocol]:
-        for value in values:
-            cfg = _at_point(config, name, axis, value)
-            results, agg = run_batch(cfg)
-            rows.append(SweepRow(name, cfg.n, cfg.tau, cfg.params.p_start, results, agg))
+    for cfg in sweep_points(config, axis, values, protocols):
+        results, agg = run_batch(cfg)
+        rows.append(SweepRow(cfg.protocol, cfg.n, cfg.tau, cfg.params.p_start, results, agg))
     return rows
 
 
@@ -319,7 +348,7 @@ def _at_point(config: ScenarioConfig, protocol_name: str, axis: str, value: floa
     if axis == "tau":
         return replace(config, protocol=protocol_name, tau=float(value))
     if axis == "n":
-        if value != int(value):
+        if not float(value).is_integer():
             raise ValueError(f"node count must be an integer, got {value}")
         return replace(config, protocol=protocol_name, n=int(value))
     return replace(config, protocol=protocol_name,

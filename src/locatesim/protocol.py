@@ -142,6 +142,21 @@ class EmergencyState:
     rep_done: bool = False  # baseline: reply relayed (or coin spent)
 
 
+def may_transmit(st: EmergencyState) -> bool:
+    """Whether the node can still transmit before it hears another message.
+
+    Only deliveries add hop budget, so a carrier whose stored request has none
+    left never transmits from its DTN tick again. Every other armed timer,
+    the source's beacon included, counts. A frozen carrier has no armed timer
+    but re-arms its tick when it thaws, so it counts while it has budget.
+    """
+    live = st.live
+    if not live:
+        return st.phase == DTN_FROZEN and st.stored_req.ttl >= 1
+    return not (len(live) == 1 and DTN in live and not st.is_source
+                and st.stored_req.ttl < 1)
+
+
 class _SourceMixin:
     """Source behavior is identical across schemes: beacon until a reply arrives."""
 

@@ -32,6 +32,8 @@ class RadioProfile:
             raise ValueError(f"radio range {self.range_m} must be positive")
         if self.airtime_s <= 0.0:
             raise ValueError(f"airtime {self.airtime_s} must be positive")
+        if self.beta <= 0.0:
+            raise ValueError(f"smooth-model exponent beta {self.beta} must be positive")
         if self.pdr_model not in (UNIT_DISK, SMOOTH):
             raise ValueError(f"unknown pdr model {self.pdr_model!r}")
         if self.interference not in (INTERFERENCE_NONE, INTERFERENCE_COLLISION):

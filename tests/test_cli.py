@@ -245,6 +245,28 @@ def test_main_non_finite_radio_range_exits_2(tmp_path, capsys):
     assert "range_m nan must be finite" in capsys.readouterr().err
 
 
+def test_main_zero_radio_beta_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 5\ntau = 0.2\nruns = 1\nradio_pdr_model = smooth\nradio_beta = 0\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "beta 0.0 must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,values,message", [
+    ("tau", "0.4,nan", "solver fraction nan outside [0, 1]"),
+    ("p_start", "0.4,1.5", "p_start 1.5 outside (0, 1]"),
+    ("n", "4,2.5", "node count must be an integer, got 2.5"),
+])
+def test_main_bad_sweep_value_exits_2_before_simulating(axis, values, message, tmp_path,
+                                                          capsys):
+    # the bad value comes last, so a sweep that ran points in turn would simulate first
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--n", "5", "--tau", "0.2", "--runs", "1", "--horizon", "100",
+                 "--axis", axis, "--values", values, "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_main_unwritable_output_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -7,10 +7,10 @@ import pytest
 
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_once, sweep, worker_count)
-from locatesim.protocol import E_REQ, SOLVED
+from locatesim.protocol import DTN_FROZEN, E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import lora_profile
 from locatesim.world import Role
-from topologies import line_world, pair_world, static_world
+from topologies import line_world, pair_world, static_world, walking
 
 
 def small(**kw):
@@ -175,6 +175,78 @@ def test_pinned_collision_run_results():
                          radio=lora_profile(pdr_model="smooth", interference="collision"))
     for idx, *expected in PINNED_COLLISION:
         assert _fields(run_once(cfg, idx)) == tuple(expected), idx
+
+
+# 24 h runs recorded before the quiescence exit: runs 0, 2 (both protocols)
+# and 1 (locate-basic) end at the horizon with spent carriers still ticking,
+# the run-3s and locate run 1 end when everyone aware is solved; in the last
+# three, a reply is still in flight when the last node able to transmit falls
+# silent, and relaying it adds to erep_count
+PINNED_24H = [
+    ("locate", 0, True, 10.70793022263093, 17, 4, 86400.0),
+    ("locate", 1, True, 24.022045785191988, 9, 6, 239.19923467365533),
+    ("locate", 2, True, 3339.6957981499777, 394, 3, 86400.0),
+    ("locate", 3, True, 212.52330101183483, 47, 4, 216.1868719928329),
+    ("locate-basic", 0, True, 10.70793022263093, 17, 4, 86400.0),
+    ("locate-basic", 1, True, 24.022045785191988, 35, 5, 86400.0),
+    ("locate-basic", 2, True, 3339.379553555742, 436, 5, 86400.0),
+    ("locate-basic", 3, True, 213.86778141553373, 67, 3, 218.72358893160848),
+    ("locate-basic", 13, True, 496.28998040105637, 158, 7, 86400.0),
+    ("flooding", 0, True, 13.996477835021594, 2, 4, 86400.0),
+    ("probabilistic", 0, True, 13.996477835021594, 1, 2, 86400.0),
+]
+
+
+def test_pinned_24h_run_results():
+    for protocol, idx, *expected in PINNED_24H:
+        cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
+        assert _fields(run_once(cfg, idx)) == tuple(expected), (protocol, idx)
+
+
+def _frozen_trio():
+    # a solver 300 m west answers the source; three relays 400 m east never
+    # hear the reply, carry the request and freeze on each other's rebroadcasts;
+    # node 4 walks east at 0.5 m/s, so only it thaws, about 100 s later
+    half = 2500.0
+    world = static_world(5000.0, [(half, half), (half - 300.0, half, Role.SOLVER),
+                                  (half + 400.0, half + 30.0, Role.RELAY),
+                                  (half + 400.0, half - 30.0, Role.RELAY),
+                                  (half + 420.0, half, Role.RELAY)])
+    return walking(world, 4, 0.5)
+
+
+def test_frozen_carrier_with_hop_budget_is_not_cut_off():
+    cfg = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
+    trace = []
+    res = run_once(cfg, 3, world=_frozen_trio(), trace=trace)
+    frozen = {e[2]: e[1] for e in trace if e[0] == "phase" and e[3] == DTN_FROZEN}
+    assert sorted(frozen) == [2, 3, 4]
+    all_frozen = max(frozen.values())
+    assert res.ert_s < all_frozen  # the source is solved: only the frozen carriers could go on
+    later = [(e[1], e[2]) for e in trace if e[0] == "tx" and e[1] > all_frozen]
+    assert later and all(node == 4 for _, node in later)  # the walker thaws and carries on
+    assert later[0][0] > all_frozen + 100.0  # 50 m at 0.5 m/s
+    assert res.end_time_s == 600.0
+
+
+def _spur_world():
+    # a solver 300 m west of the source and a relay 400 m east, out of the
+    # solver's range: the relay never hears the reply
+    return static_world(2500.0, [(1250.0, 1250.0), (950.0, 1250.0, Role.SOLVER),
+                                 (1650.0, 1250.0, Role.RELAY)])
+
+
+@pytest.mark.parametrize("protocol,ttl,expected", [
+    # the relay forwards once and goes quiet: the queue drains
+    ("flooding", 16, (True, 17.74867473874465, 4, 1, 17.74867473874465)),
+    # the relay carries a request with no hop budget left and ticks until the horizon
+    ("locate", 1, (True, 11.111478346337321, 3, 1, 3600.0)),
+    ("locate-basic", 1, (True, 11.111478346337321, 3, 1, 3600.0)),
+])
+def test_static_worlds_end_as_before_the_quiescence_exit(protocol, ttl, expected):
+    cfg = ScenarioConfig(n=2, tau=0.5, side_m=2500.0, protocol=protocol, horizon_s=3600.0,
+                         params=ProtocolParams(ttl_init=ttl))
+    assert _fields(run_once(cfg, 0, world=_spur_world())) == expected
 
 
 def run_result(idx, solved, ert, ereq=10):

@@ -28,6 +28,9 @@ def test_profile_validation():
         RadioProfile(pdr_model="fancy")
     with pytest.raises(ValueError):
         RadioProfile(interference="capture")
+    for bad in (0.0, -2.0):  # no reception at all, or a division by zero at d = 0
+        with pytest.raises(ValueError, match="beta"):
+            RadioProfile(pdr_model="smooth", beta=bad)
     for bad in (math.nan, math.inf):
         for field in ("range_m", "airtime_s", "beta"):
             with pytest.raises(ValueError, match="finite"):

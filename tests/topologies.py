@@ -1,4 +1,4 @@
-"""Hand-built static worlds for driving the simulator in tests."""
+"""Hand-built worlds for driving the simulator in tests."""
 
 from locatesim.world import MobilityLeg, NodeRecord, Role, World
 
@@ -32,3 +32,12 @@ def pair_world(d: float = 300.0, side: float = 5000.0) -> World:
     """Source at the center plus one static solver d meters east."""
     half = side / 2.0
     return static_world(side, [(half, half), (half + d, half, Role.SOLVER)])
+
+
+def walking(world: World, node: int, speed: float) -> World:
+    """Set `node` walking east at `speed` m/s from where it stands until the arena edge."""
+    rec = world.nodes[node]
+    x, y = rec.leg.x0, rec.leg.y0
+    rec.stationary = False
+    rec.leg = MobilityLeg(x, y, 0.0, speed, 0.0, (world.side - x) / speed, speed, 0.0)
+    return world
