@@ -8,11 +8,10 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from . import protocol
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
-from .protocol import (CANCEL_TIMER, E_REQ, MARK_SOLVED, SET_TIMER, START_POLL,
-                       STOP_POLL, TRANSMIT, FloodingBehavior, LocateBehavior, ProtocolParams,
-                       may_transmit)
+from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, STOP_POLL,
+                       TRANSMIT, EmergencyState, FloodingBehavior, LocateBehavior,
+                       ProtocolParams, may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
 from .world import Role, World
 
@@ -22,7 +21,6 @@ PROTOCOLS = ("locate", "locate-basic", "flooding", "probabilistic")
 
 POLL_PERIOD_S = 1.0  # movement check cadence while a carrier is frozen
 
-EMERGENCY_ID = 0  # single concurrent emergency per run
 SOURCE_ID = 0
 
 
@@ -117,29 +115,26 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     horizon = config.horizon_s
 
     queue = EventQueue()
-    states: dict[int, protocol.EmergencyState] = {}
+    states: dict[int, EmergencyState] = {}
     polls: dict[int, list] = {}
     busy: dict[int, list[tuple[float, float]]] = {}
     aware = {SOURCE_ID}
-    solved: set[int] = set()
-    unsolved_aware = 1
+    waiting = {SOURCE_ID}  # aware and not yet solved
     in_flight = 0  # scheduled deliveries not yet popped
     able: set[int] = set()  # nodes for which may_transmit holds
     ereq_count = 0
     erep_count = 0
     ert: float | None = None
 
-    def state_of(node: int) -> protocol.EmergencyState:
+    def state_of(node: int) -> EmergencyState:
         st = states.get(node)
         if st is None:
-            rec = world.nodes[node]
-            st = behavior.new_state(node, EMERGENCY_ID, rec.role == Role.SOLVER,
-                                    node == SOURCE_ID)
+            st = EmergencyState(node, world.nodes[node].role == Role.SOLVER, node == SOURCE_ID)
             states[node] = st
         return st
 
-    def interpret(st: protocol.EmergencyState, acts: list[tuple], t: float) -> None:
-        nonlocal ereq_count, erep_count, unsolved_aware, in_flight
+    def interpret(st: EmergencyState, acts: list[tuple], t: float) -> None:
+        nonlocal ereq_count, erep_count, in_flight
         node = st.node
         for act in acts:
             op = act[0]
@@ -161,11 +156,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                 st.live[act[1]] = queue.schedule(t + act[2], TIMER, node, act[1])
             elif op == CANCEL_TIMER:
                 queue.cancel(act[2])
-            elif op == MARK_SOLVED:
-                if node not in solved:
-                    solved.add(node)
-                    if node in aware:
-                        unsolved_aware -= 1
             elif op == START_POLL:
                 if node not in polls:
                     polls[node] = queue.schedule(t + POLL_PERIOD_S, FREEZE_POLL, node, None)
@@ -175,7 +165,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     queue.cancel(handle)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")
-        # handlers change only their own node, so only its flag can have moved
+        # handlers change only their own node, so only its flags can have moved
+        if st.phase == SOLVED:
+            waiting.discard(node)
         if may_transmit(st):
             able.add(node)
         else:
@@ -215,8 +207,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             if msg.kind == E_REQ:
                 if node not in aware:
                     aware.add(node)
-                    if node not in solved:
-                        unsolved_aware += 1
+                    waiting.add(node)  # dropped again below if the node is already solved
                     if trace is not None:
                         trace.append(("aware", t, node))
             elif node == SOURCE_ID and ert is None:
@@ -237,7 +228,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         if trace is not None and st.phase != phase_seen.get(node):
             phase_seen[node] = st.phase
             trace.append(("phase", t, node, st.phase))
-        if unsolved_aware == 0:
+        if not waiting:
             end_time = t  # everyone who heard of the emergency is done, including the source
             break
 

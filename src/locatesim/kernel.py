@@ -74,10 +74,9 @@ class EventQueue:
 class RandomStream:
     """Seeded pseudo-random source; the draw sequence depends only on seed and call order."""
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("_rng",)
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def random(self) -> float:

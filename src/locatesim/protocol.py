@@ -30,26 +30,21 @@ SOLVED = 5  # absorbing
 PHASE_NAMES = ("unaware", "accepting", "forwarding", "dtn_active", "dtn_frozen", "solved")
 
 # timer slots (one live timer per slot per node and emergency)
-ACCEPT = "accept"  # reply contention
+ACCEPT = "accept"  # reply contention, own or cached reply
 GUARD = "guard"  # acceptance round length before forwarding starts
-FORWARD = "forward"  # request or reply relay contention
+FORWARD = "forward"  # request or reply relay contention (baselines: the request relay)
 DTN = "dtn"  # periodic rebroadcast (also the source's beacon slot)
-FLOOD_REQ = "flood_req"  # baseline one-shot request relay
-FLOOD_REP = "flood_rep"  # baseline reply slot
 
 # action opcodes returned by handlers
 TRANSMIT = 0  # (TRANSMIT, message)
 SET_TIMER = 1  # (SET_TIMER, slot, delay_s)
 CANCEL_TIMER = 2  # (CANCEL_TIMER, slot, queue handle)
-MARK_SOLVED = 3  # (MARK_SOLVED,)
-START_POLL = 4  # (START_POLL,)  begin 1 Hz movement polling
-STOP_POLL = 5  # (STOP_POLL,)
+START_POLL = 3  # (START_POLL,)  begin 1 Hz movement polling
+STOP_POLL = 4  # (STOP_POLL,)
 
 
 class Message(NamedTuple):
     kind: int
-    emergency: int
-    origin: int  # source node id
     solver: int | None  # answering node id, replies only
     tx: int  # last-hop transmitter id
     tx_pos: tuple[float, float]  # transmitter position at transmission start
@@ -123,13 +118,11 @@ class EmergencyState:
     """Per-node, per-emergency protocol state shared by all scheme variants."""
 
     node: int
-    emergency: int
     is_solver: bool
     is_source: bool
     phase: int = UNAWARE
     live: dict = field(default_factory=dict)  # armed timer slot -> queue handle
-    stored_req: Message | None = None  # first adopted request copy
-    pending_req: Message | None = None  # baseline relay payload
+    stored_req: Message | None = None  # adopted request copy; baselines: the relay payload
     cached_rep: Message | None = None  # freshest reply seen
     pending_reply_ttl: int = -1  # armed original-reply budget; -1 means cached reply
     pending_forward: int = -1  # message kind the forward slot will send
@@ -139,7 +132,6 @@ class EmergencyState:
     freeze_pos: tuple[float, float] | None = None  # anchor set iff phase == DTN_FROZEN
     erep_sent_at: float = -math.inf  # last reply transmission (cooldown stamp)
     req_done: bool = False  # baseline: request relayed (or coin spent)
-    rep_done: bool = False  # baseline: reply relayed (or coin spent)
 
 
 def may_transmit(st: EmergencyState) -> bool:
@@ -162,10 +154,6 @@ class _SourceMixin:
 
     params: ProtocolParams
 
-    def new_state(self, node: int, emergency: int, is_solver: bool,
-                  is_source: bool) -> EmergencyState:
-        return EmergencyState(node, emergency, is_solver, is_source)
-
     def start_emergency(self, st: EmergencyState, t: float,
                         pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         """First broadcast of a new emergency, plus the periodic beacon timer."""
@@ -183,7 +171,7 @@ class _SourceMixin:
     def _source_beacon(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         p = self.params
-        msg = Message(E_REQ, st.emergency, st.node, None, st.node, pos, p.ttl_init)
+        msg = Message(E_REQ, None, st.node, pos, p.ttl_init)
         acts: list[tuple] = [(TRANSMIT, msg)]
         _set(st, acts, DTN, stream.uniform(p.cw_min_s, p.cw_max_s))
         return acts
@@ -201,11 +189,34 @@ def _cancel(st: EmergencyState, acts: list[tuple], slot: str) -> None:
         acts.append((CANCEL_TIMER, slot, st.live.pop(slot)))
 
 
+def _relayed(st: EmergencyState, msg: Message, pos: tuple[float, float]) -> Message:
+    """The copy this node rebroadcasts: every relay spends one hop of the budget."""
+    return msg._replace(tx=st.node, tx_pos=pos, ttl=msg.ttl - 1)
+
+
+def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
+    """The reply slot fires: a solver's own answer if one is armed, else the cached reply."""
+    if st.pending_reply_ttl >= 0:  # armed only by solvers
+        rep = Message(E_REP, st.node, st.node, pos, st.pending_reply_ttl)
+        st.pending_reply_ttl = -1
+        st.cached_rep = rep
+        st.erep_sent_at = t
+        acts: list[tuple] = [(TRANSMIT, rep)]
+        if st.phase != SOLVED:
+            _become_solved(st, acts)
+        return acts
+    # cached reply on behalf of an earlier solver
+    rep = st.cached_rep
+    if rep is None or rep.ttl < 1:
+        return []
+    st.erep_sent_at = t
+    return [(TRANSMIT, _relayed(st, rep, pos))]
+
+
 def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
     """The absorbing transition: stop spreading the request, carrying it and polling."""
     st.phase = SOLVED
-    acts.append((MARK_SOLVED,))
-    for slot in (GUARD, FORWARD, DTN, FLOOD_REQ):
+    for slot in (GUARD, FORWARD, DTN):
         _cancel(st, acts, slot)
     st.freeze_pos = None
     st.dtn_remaining_s = -1.0
@@ -308,9 +319,9 @@ class LocateBehavior(_SourceMixin):
                  pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         st.live.pop(slot, None)
         if st.is_source:
-            return self._source_beacon(st, t, pos, stream) if slot == DTN else []
+            return self._source_beacon(st, t, pos, stream)
         if slot == ACCEPT:
-            return self._fire_accept(st, t, pos)
+            return _fire_reply(st, t, pos)
         if slot == GUARD:
             return self._fire_guard(st, t, pos, stream)
         if slot == FORWARD:
@@ -318,27 +329,6 @@ class LocateBehavior(_SourceMixin):
         if slot == DTN:
             return self._fire_dtn(st, t, pos, stream)
         raise ValueError(f"unknown timer slot {slot!r}")
-
-    def _fire_accept(self, st: EmergencyState, t: float,
-                     pos: tuple[float, float]) -> list[tuple]:
-        acts: list[tuple] = []
-        if st.is_solver and st.pending_reply_ttl >= 0:
-            rep = Message(E_REP, st.emergency, st.stored_req.origin, st.node,
-                          st.node, pos, st.pending_reply_ttl)
-            st.pending_reply_ttl = -1
-            st.cached_rep = rep
-            st.erep_sent_at = t
-            acts.append((TRANSMIT, rep))
-            if st.phase != SOLVED:
-                _become_solved(st, acts)
-            return acts
-        # cached reply on behalf of an earlier solver
-        rep = st.cached_rep
-        if rep is not None and rep.ttl >= 1:
-            out = rep._replace(tx=st.node, tx_pos=pos, ttl=rep.ttl - 1)
-            st.erep_sent_at = t
-            acts.append((TRANSMIT, out))
-        return acts
 
     def _fire_guard(self, st: EmergencyState, t: float, pos: tuple[float, float],
                     stream: RandomStream) -> list[tuple]:
@@ -360,19 +350,16 @@ class LocateBehavior(_SourceMixin):
                       stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
         if st.pending_forward == E_REQ:
-            # every relay spends one hop of the stored copy's budget
-            out = st.stored_req._replace(tx=st.node, tx_pos=pos, ttl=st.stored_req.ttl - 1)
-            st.stored_req = out
-            acts.append((TRANSMIT, out))
+            st.stored_req = _relayed(st, st.stored_req, pos)
+            acts.append((TRANSMIT, st.stored_req))
             st.pending_forward = -1
             self._enter_dtn(st, t, stream, acts)
             return acts
         st.pending_forward = -1
         rep = st.cached_rep
         if rep is not None and rep.ttl >= 1 and t - st.erep_sent_at >= self.params.cw_max_s:
-            out = rep._replace(tx=st.node, tx_pos=pos, ttl=rep.ttl - 1)
             st.erep_sent_at = t
-            acts.append((TRANSMIT, out))
+            acts.append((TRANSMIT, _relayed(st, rep, pos)))
         return acts
 
     def _fire_dtn(self, st: EmergencyState, t: float, pos: tuple[float, float],
@@ -383,9 +370,8 @@ class LocateBehavior(_SourceMixin):
             p = dtn_forward_probability(self.params.p_start, len(st.overheard))
         if stream.bernoulli(p) and st.stored_req.ttl >= 1:
             # each rebroadcast is a relay: it spends hop budget like any other
-            out = st.stored_req._replace(tx=st.node, tx_pos=pos, ttl=st.stored_req.ttl - 1)
-            st.stored_req = out
-            acts.append((TRANSMIT, out))
+            st.stored_req = _relayed(st, st.stored_req, pos)
+            acts.append((TRANSMIT, st.stored_req))
         # the period always restarts; a spent carrier stays silent until it
         # adopts a fresher copy of the request
         self._arm_dtn(st, acts, t,
@@ -465,71 +451,46 @@ class FloodingBehavior(_SourceMixin):
         if first:
             _become_solved(st, acts)
         st.cached_rep = msg
-        if first and not st.rep_done and msg.ttl >= 1 and FLOOD_REP not in st.live:
-            st.rep_done = True
-            if self._coin(stream):
-                st.pending_reply_ttl = -1
-                _set(st, acts, FLOOD_REP, stream.uniform(0.0, self.params.cw_max_s))
+        # SOLVED is absorbing, so only the first reply gets a relay decision
+        if first and msg.ttl >= 1 and ACCEPT not in st.live and self._coin(stream):
+            st.pending_reply_ttl = -1
+            _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
         return acts
 
     def _on_request(self, st: EmergencyState, msg: Message,
                     stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
-        if st.stored_req is None:
-            st.stored_req = msg
         if st.phase != SOLVED:
             st.phase = ACCEPTING  # aware, nothing more granular in the baselines
         if st.is_solver:
             # original replies are never coin-gated
-            if msg.ttl >= 1 and FLOOD_REP not in st.live:
+            if msg.ttl >= 1 and ACCEPT not in st.live:
                 st.pending_reply_ttl = msg.ttl - 1
-                _set(st, acts, FLOOD_REP, stream.uniform(0.0, self.params.cw_max_s))
+                _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
             return acts
         if st.phase == SOLVED:
             if st.cached_rep is not None and st.cached_rep.ttl >= 1 \
-                    and FLOOD_REP not in st.live and self._coin(stream):
+                    and ACCEPT not in st.live and self._coin(stream):
                 st.pending_reply_ttl = -1
-                _set(st, acts, FLOOD_REP, stream.uniform(0.0, self.params.cw_max_s))
+                _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
             return acts
         if not st.req_done and msg.ttl >= 1:
             st.req_done = True  # one relay decision per emergency, spent even on a lost coin
             if self._coin(stream):
-                st.pending_req = msg
-                _set(st, acts, FLOOD_REQ, stream.uniform(0.0, self.params.cw_max_s))
+                st.stored_req = msg
+                _set(st, acts, FORWARD, stream.uniform(0.0, self.params.cw_max_s))
         return acts
 
     def on_timer(self, st: EmergencyState, slot: str, t: float,
                  pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         st.live.pop(slot, None)
         if st.is_source:
-            return self._source_beacon(st, t, pos, stream) if slot == DTN else []
-        if slot == FLOOD_REQ:
-            out = st.pending_req._replace(tx=st.node, tx_pos=pos, ttl=st.pending_req.ttl - 1)
-            st.pending_req = None
-            return [(TRANSMIT, out)]
-        if slot == FLOOD_REP:
-            return self._fire_reply(st, t, pos)
+            return self._source_beacon(st, t, pos, stream)
+        if slot == FORWARD:
+            return [(TRANSMIT, _relayed(st, st.stored_req, pos))]
+        if slot == ACCEPT:
+            return _fire_reply(st, t, pos)
         raise ValueError(f"unknown timer slot {slot!r}")
-
-    def _fire_reply(self, st: EmergencyState, t: float,
-                    pos: tuple[float, float]) -> list[tuple]:
-        acts: list[tuple] = []
-        if st.pending_reply_ttl >= 0:
-            rep = Message(E_REP, st.emergency, st.stored_req.origin, st.node,
-                          st.node, pos, st.pending_reply_ttl)
-            st.pending_reply_ttl = -1
-            st.cached_rep = rep
-            st.erep_sent_at = t
-            acts.append((TRANSMIT, rep))
-            if st.phase != SOLVED:
-                _become_solved(st, acts)
-            return acts
-        rep = st.cached_rep
-        if rep is not None and rep.ttl >= 1:
-            out = rep._replace(tx=st.node, tx_pos=pos, ttl=rep.ttl - 1)
-            st.erep_sent_at = t
-            acts.append((TRANSMIT, out))
-        return acts
 
     def on_freeze_poll(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:

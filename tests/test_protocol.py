@@ -6,10 +6,9 @@ import pytest
 
 from locatesim.kernel import RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
-                                DTN_FROZEN, E_REP, E_REQ, FLOOD_REP, FLOOD_REQ,
-                                FORWARD, FORWARDING, GUARD, MARK_SOLVED, SET_TIMER,
-                                SOLVED, START_POLL, STOP_POLL, TRANSMIT, UNAWARE,
-                                EmergencyState, FloodingBehavior, LocateBehavior,
+                                DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD,
+                                SET_TIMER, SOLVED, START_POLL, STOP_POLL, TRANSMIT,
+                                UNAWARE, EmergencyState, FloodingBehavior, LocateBehavior,
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
                                 forwarding_window)
@@ -110,12 +109,12 @@ def test_params_validation():
 ORIGIN = (2500.0, 2500.0)
 
 
-def req(tx=0, ttl=16, tx_pos=ORIGIN, origin=0):
-    return Message(E_REQ, 0, origin, None, tx, tx_pos, ttl)
+def req(tx=0, ttl=16, tx_pos=ORIGIN):
+    return Message(E_REQ, None, tx, tx_pos, ttl)
 
 
 def rep(tx=5, ttl=15, tx_pos=ORIGIN, solver=5):
-    return Message(E_REP, 0, 0, solver, tx, tx_pos, ttl)
+    return Message(E_REP, solver, tx, tx_pos, ttl)
 
 
 def timer_delays(acts):
@@ -130,16 +129,16 @@ def ops(acts):
     return [a[0] for a in acts]
 
 
-def source_state(behavior):
-    return behavior.new_state(0, 0, False, True)
+def source_state():
+    return EmergencyState(0, False, True)
 
 
-def relay_state(behavior, node=1):
-    return behavior.new_state(node, 0, False, False)
+def relay_state(node=1):
+    return EmergencyState(node, False, False)
 
 
-def solver_state(behavior, node=2):
-    return behavior.new_state(node, 0, True, False)
+def solver_state(node=2):
+    return EmergencyState(node, True, False)
 
 
 def locate():
@@ -154,7 +153,7 @@ def basic():
 
 def test_source_start_transmits_and_arms_beacon():
     b = locate()
-    st = source_state(b)
+    st = source_state()
     acts = b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
     (msg,) = sent(acts)
     assert (msg.kind, msg.ttl, msg.tx, msg.tx_pos) == (E_REQ, P.ttl_init, 0, ORIGIN)
@@ -165,7 +164,7 @@ def test_source_start_transmits_and_arms_beacon():
 
 def test_source_beacon_reissues_full_ttl():
     b = locate()
-    st = source_state(b)
+    st = source_state()
     b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
     acts = b.on_timer(st, DTN, 12.0, ORIGIN, RandomStream(2))
     (msg,) = sent(acts)
@@ -175,18 +174,17 @@ def test_source_beacon_reissues_full_ttl():
 
 def test_source_ignores_requests_and_stops_on_first_reply():
     b = locate()
-    st = source_state(b)
+    st = source_state()
     b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
     assert b.on_delivery(st, req(tx=3), 5.0, ORIGIN, RandomStream(2)) == []
     acts = b.on_delivery(st, rep(), 6.0, ORIGIN, RandomStream(2))
-    assert MARK_SOLVED in ops(acts)
     assert (CANCEL_TIMER, DTN) in [(a[0], a[1]) for a in acts if a[0] == CANCEL_TIMER]
     assert st.phase == SOLVED
 
 
 def test_timer_registry_holds_the_runner_handle():
     b = locate()
-    st = source_state(b)
+    st = source_state()
     b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
     with pytest.raises(RuntimeError, match="already armed"):
         b.start_emergency(st, 0.0, ORIGIN, RandomStream(1))
@@ -202,7 +200,7 @@ def test_timer_registry_holds_the_runner_handle():
 
 def test_unaware_relay_holds_one_guard_window():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(3))
     assert st.phase == ACCEPTING
     assert sent(acts) == []
@@ -211,7 +209,7 @@ def test_unaware_relay_holds_one_guard_window():
 
 def test_unaware_solver_contends_to_reply():
     b = locate()
-    st = solver_state(b)
+    st = solver_state()
     pos = (2900.0, 2500.0)  # 400 m from the transmitter
     acts = b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     assert st.phase == ACCEPTING
@@ -223,21 +221,20 @@ def test_unaware_solver_contends_to_reply():
 
 def test_solver_reply_fire_marks_solved():
     b = locate()
-    st = solver_state(b)
+    st = solver_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     acts = b.on_timer(st, ACCEPT, 5.0, pos, RandomStream(4))
     (msg,) = sent(acts)
     assert (msg.kind, msg.solver, msg.ttl) == (E_REP, st.node, 15)
     assert st.phase == SOLVED
-    assert MARK_SOLVED in ops(acts)
     assert STOP_POLL in ops(acts)
     assert st.cached_rep == msg
 
 
 def test_solver_rearms_for_each_new_request():
     b = locate()
-    st = solver_state(b)
+    st = solver_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     # a second request while the reply is pending does not double-arm
@@ -255,7 +252,7 @@ def test_solver_rearms_for_each_new_request():
 
 def test_ttl_zero_request_creates_awareness_but_no_reply():
     b = locate()
-    st = solver_state(b)
+    st = solver_state()
     acts = b.on_delivery(st, req(ttl=0), 0.4, (2600.0, 2500.0), RandomStream(3))
     assert st.phase == ACCEPTING
     assert timer_delays(acts) == {GUARD: P.cw_max_s}
@@ -263,7 +260,7 @@ def test_ttl_zero_request_creates_awareness_but_no_reply():
 
 def test_relay_guard_expiry_starts_forwarding_contention():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     acts = b.on_timer(st, GUARD, 20.4, pos, RandomStream(4))
@@ -275,7 +272,7 @@ def test_relay_guard_expiry_starts_forwarding_contention():
 
 def test_forward_fire_relays_and_enters_carry_phase():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     b.on_timer(st, GUARD, 20.4, pos, RandomStream(4))
@@ -291,7 +288,7 @@ def test_forward_fire_relays_and_enters_carry_phase():
 
 def test_guard_expiry_with_spent_copy_carries_silently():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2600.0, 2500.0)
     b.on_delivery(st, req(ttl=0), 0.4, pos, RandomStream(3))
     acts = b.on_timer(st, GUARD, 20.4, pos, RandomStream(4))
@@ -302,7 +299,7 @@ def test_guard_expiry_with_spent_copy_carries_silently():
 
 def test_forwarding_suppressed_by_overheard_relay():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     b.on_timer(st, GUARD, 20.4, pos, RandomStream(4))
@@ -319,7 +316,7 @@ def test_forwarding_suppressed_by_overheard_relay():
 
 def dtn_carrier(b, pos=(2900.0, 2500.0), ttl=16):
     """Relay driven to DtnActive holding a stored copy with the given ttl."""
-    st = relay_state(b)
+    st = relay_state()
     b.on_delivery(st, req(ttl=ttl), 0.4, pos, RandomStream(3))
     b.on_timer(st, GUARD, 20.4, pos, RandomStream(4))
     if FORWARD in st.live:
@@ -502,7 +499,6 @@ def test_reply_solves_and_relays_once_per_cooldown():
     pos = (2900.0, 2500.0)
     acts = b.on_delivery(st, rep(ttl=14, tx_pos=(3300.0, 2500.0)), 40.0, pos, RandomStream(8))
     assert st.phase == SOLVED
-    assert MARK_SOLVED in ops(acts)
     assert STOP_POLL in ops(acts)
     cancelled = {a[1] for a in acts if a[0] == CANCEL_TIMER}
     assert DTN in cancelled
@@ -521,7 +517,7 @@ def test_reply_solves_and_relays_once_per_cooldown():
 
 def test_reply_cancels_pending_own_answer():
     b = locate()
-    st = solver_state(b)
+    st = solver_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     assert ACCEPT in st.live
@@ -534,7 +530,7 @@ def test_reply_cancels_pending_own_answer():
 
 def test_spent_reply_is_cached_but_not_relayed():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     acts = b.on_delivery(st, rep(ttl=0), 10.0, (2900.0, 2500.0), RandomStream(3))
     assert st.phase == SOLVED
     assert st.cached_rep.ttl == 0
@@ -543,7 +539,7 @@ def test_spent_reply_is_cached_but_not_relayed():
 
 def test_solved_node_answers_requests_from_cache():
     b = locate()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, rep(ttl=14), 10.0, pos, RandomStream(3))
     b.on_timer(st, FORWARD, 12.0, pos, RandomStream(4))  # reply relay happens first
@@ -582,13 +578,13 @@ def flood():
 
 def test_flooding_relays_request_exactly_once():
     b = flood()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     acts = b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     assert st.phase == ACCEPTING
-    delay = timer_delays(acts)[FLOOD_REQ]
+    delay = timer_delays(acts)[FORWARD]
     assert 0.0 <= delay < P.cw_max_s
-    acts = b.on_timer(st, FLOOD_REQ, 5.0, pos, RandomStream(4))
+    acts = b.on_timer(st, FORWARD, 5.0, pos, RandomStream(4))
     (msg,) = sent(acts)
     assert (msg.kind, msg.ttl, msg.tx) == (E_REQ, 15, st.node)
     # the relay decision is spent: further requests are ignored
@@ -596,14 +592,28 @@ def test_flooding_relays_request_exactly_once():
     assert timer_delays(acts) == {}
 
 
+def test_flooding_relays_the_copy_that_won_the_coin():
+    # a spent copy makes the node aware but is never the relay payload
+    b = flood()
+    st = relay_state()
+    pos = (2900.0, 2500.0)
+    acts = b.on_delivery(st, req(ttl=0), 0.4, pos, RandomStream(3))
+    assert st.phase == ACCEPTING
+    assert timer_delays(acts) == {}
+    acts = b.on_delivery(st, req(tx=9, ttl=5), 1.0, pos, RandomStream(4))
+    assert FORWARD in timer_delays(acts)
+    (msg,) = sent(b.on_timer(st, FORWARD, 6.0, pos, RandomStream(5)))
+    assert (msg.kind, msg.ttl, msg.tx, msg.tx_pos) == (E_REQ, 4, st.node, pos)
+
+
 def test_flooding_solver_always_answers():
     b = flood()
-    st = solver_state(b)
+    st = solver_state()
     pos = (2900.0, 2500.0)
     acts = b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     delays = timer_delays(acts)
-    assert FLOOD_REP in delays and FLOOD_REQ not in delays
-    acts = b.on_timer(st, FLOOD_REP, 5.0, pos, RandomStream(4))
+    assert ACCEPT in delays and FORWARD not in delays
+    acts = b.on_timer(st, ACCEPT, 5.0, pos, RandomStream(4))
     (msg,) = sent(acts)
     assert (msg.kind, msg.solver, msg.ttl) == (E_REP, st.node, 15)
     assert st.phase == SOLVED
@@ -611,13 +621,12 @@ def test_flooding_solver_always_answers():
 
 def test_flooding_reply_relayed_once_and_solves():
     b = flood()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     acts = b.on_delivery(st, rep(ttl=14), 10.0, pos, RandomStream(3))
     assert st.phase == SOLVED
-    assert MARK_SOLVED in ops(acts)
-    assert FLOOD_REP in timer_delays(acts)
-    acts = b.on_timer(st, FLOOD_REP, 12.0, pos, RandomStream(4))
+    assert ACCEPT in timer_delays(acts)
+    acts = b.on_timer(st, ACCEPT, 12.0, pos, RandomStream(4))
     (msg,) = sent(acts)
     assert (msg.kind, msg.ttl) == (E_REP, 13)
     # a second overheard reply is not relayed again
@@ -627,24 +636,24 @@ def test_flooding_reply_relayed_once_and_solves():
 
 def test_flooding_solved_node_cancels_pending_request_relay():
     b = flood()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
-    assert FLOOD_REQ in st.live
+    assert FORWARD in st.live
     acts = b.on_delivery(st, rep(ttl=14), 2.0, pos, RandomStream(4))
     cancelled = {a[1] for a in acts if a[0] == CANCEL_TIMER}
-    assert FLOOD_REQ in cancelled
+    assert FORWARD in cancelled
 
 
 def test_flooding_solved_node_answers_later_requests():
     b = flood()
-    st = relay_state(b)
+    st = relay_state()
     pos = (2900.0, 2500.0)
     b.on_delivery(st, rep(ttl=14), 10.0, pos, RandomStream(3))
-    b.on_timer(st, FLOOD_REP, 12.0, pos, RandomStream(4))
+    b.on_timer(st, ACCEPT, 12.0, pos, RandomStream(4))
     acts = b.on_delivery(st, req(tx=3, ttl=8), 30.0, pos, RandomStream(5))
-    assert FLOOD_REP in timer_delays(acts)
-    acts = b.on_timer(st, FLOOD_REP, 33.0, pos, RandomStream(6))
+    assert ACCEPT in timer_delays(acts)
+    acts = b.on_timer(st, ACCEPT, 33.0, pos, RandomStream(6))
     (msg,) = sent(acts)
     assert (msg.kind, msg.ttl) == (E_REP, 13)
 
@@ -653,9 +662,9 @@ def test_probabilistic_coin_is_final_for_requests():
     found_skip = found_relay = False
     for s in range(60):
         b = FloodingBehavior(P, relay_probability=0.4)
-        st = relay_state(b)
+        st = relay_state()
         acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(s))
-        if FLOOD_REQ in timer_delays(acts):
+        if FORWARD in timer_delays(acts):
             found_relay = True
         else:
             found_skip = True
@@ -669,9 +678,9 @@ def test_probabilistic_coin_is_final_for_requests():
 def test_probabilistic_never_gates_original_replies():
     for s in range(30):
         b = FloodingBehavior(P, relay_probability=0.4)
-        st = solver_state(b)
+        st = solver_state()
         acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(s))
-        assert FLOOD_REP in timer_delays(acts)
+        assert ACCEPT in timer_delays(acts)
 
 
 def test_probabilistic_validates_probability():
