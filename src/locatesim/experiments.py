@@ -108,6 +108,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     stream = RandomStream(seed)
     if world is None:
         world = World.random(config.n, config.tau, config.side_m, stream)
+    else:
+        world.forget_index()  # its legs may have been set by hand since its last run
     behavior = make_behavior(config.protocol, config.params)
     profile = config.radio
     airtime = profile.airtime_s

@@ -45,7 +45,6 @@ STOP_POLL = 4  # (STOP_POLL,)
 
 class Message(NamedTuple):
     kind: int
-    solver: int | None  # answering node id, replies only
     tx: int  # last-hop transmitter id
     tx_pos: tuple[float, float]  # transmitter position at transmission start
     ttl: int
@@ -171,7 +170,7 @@ class _SourceMixin:
     def _source_beacon(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         p = self.params
-        msg = Message(E_REQ, None, st.node, pos, p.ttl_init)
+        msg = Message(E_REQ, st.node, pos, p.ttl_init)
         acts: list[tuple] = [(TRANSMIT, msg)]
         _set(st, acts, DTN, stream.uniform(p.cw_min_s, p.cw_max_s))
         return acts
@@ -197,7 +196,7 @@ def _relayed(st: EmergencyState, msg: Message, pos: tuple[float, float]) -> Mess
 def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
     """The reply slot fires: a solver's own answer if one is armed, else the cached reply."""
     if st.pending_reply_ttl >= 0:  # armed only by solvers
-        rep = Message(E_REP, st.node, st.node, pos, st.pending_reply_ttl)
+        rep = Message(E_REP, st.node, pos, st.pending_reply_ttl)
         st.pending_reply_ttl = -1
         st.cached_rep = rep
         st.erep_sent_at = t

@@ -65,21 +65,28 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     """Ids of the nodes that receive a transmission starting at time t.
 
     Membership is decided from positions at the transmission start; the
-    transmitter never hears itself. Loss draws happen in node-id order, and
-    only for nodes whose delivery ratio is strictly between 0 and 1, so the
-    unit-disk model consumes no randomness.
+    transmitter never hears itself. Only the nodes `world.near` returns are
+    evaluated, a superset of those in range. Loss draws happen in node-id
+    order, and only for nodes whose delivery ratio is strictly between 0 and
+    1, so the unit-disk model consumes no randomness.
     """
     tx_pos = world.position_at(tx_node, t)
+    x, y = tx_pos
+    reach = profile.range_m
     out: list[int] = []
-    for rec in world.nodes:
-        if rec.id == tx_node:
+    for node in world.near(x, y, t, reach):
+        if node == tx_node:
             continue
-        d = distance(tx_pos, world.position_at(rec.id, t))
-        if d > profile.range_m:
+        pos = world.position_at(node, t)
+        # exact pre-filter: the distance is at least each axis offset
+        if abs(pos[0] - x) > reach or abs(pos[1] - y) > reach:
+            continue
+        d = distance(tx_pos, pos)
+        if d > reach:
             continue
         p = pdr(d, profile)
         if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):
-            out.append(rec.id)
+            out.append(node)
     return out
 
 

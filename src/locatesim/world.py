@@ -13,6 +13,8 @@ SPEED_MAX = 3.0  # m/s
 
 _SNAP = 1e-6  # m, endpoint snap to the arena edge
 
+_INDEX_MARGIN = 1.0  # m, World.near: covers float rounding and the _SNAP pull of each new leg
+
 
 class Role(IntEnum):
     SOURCE = 0  # stationary emergency source at the arena center
@@ -44,6 +46,60 @@ def distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+class _Index:
+    """Node ids bucketed into square cells by position at build time t0.
+
+    Cells are `reach` wide, or the margin if that is wider, so a query never
+    spans more than a few cells. A coordinate u falls in column (or row)
+    int(u * inv), clamped into [0, cols - 1]. That map never decreases in u,
+    so every coordinate in [lo, hi] falls between the columns of lo and hi.
+    """
+
+    __slots__ = ("t0", "reach", "cell", "inv", "cols", "vmax", "cells")
+
+    def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
+        self.t0 = t0
+        self.reach = reach
+        self.cell = cell = max(reach, _INDEX_MARGIN)
+        self.inv = inv = 1.0 / cell
+        self.cols = cols = max(1, math.ceil(side / cell))
+        last = cols - 1
+        vmax = SPEED_MAX
+        cells: dict[int, list[int]] = {}
+        for rec in nodes:
+            leg = rec.leg
+            x = leg.x0
+            y = leg.y0
+            if leg.speed != 0.0:  # as in position_at, less the clamp
+                vx = leg.vx
+                vy = leg.vy
+                dt = t0 - leg.start
+                x += vx * dt
+                y += vy * dt
+                v = max(abs(vx), abs(vy))
+                if v > vmax:
+                    vmax = v
+            # nodes placed off the arena by hand, or rounded past its edge, go to edge cells
+            ix = int(x * inv)
+            if ix < 0:
+                ix = 0
+            elif ix > last:
+                ix = last
+            iy = int(y * inv)
+            if iy < 0:
+                iy = 0
+            elif iy > last:
+                iy = last
+            key = iy * cols + ix
+            ids = cells.get(key)
+            if ids is None:
+                cells[key] = [rec.id]
+            else:
+                ids.append(rec.id)
+        self.vmax = vmax  # fastest per-axis speed now; start_leg never draws a faster one
+        self.cells = cells
+
+
 def solver_count(n: int, tau: float) -> int:
     """Number of solver nodes among n mobiles for solver fraction tau; ties round up."""
     if n < 0:
@@ -60,13 +116,14 @@ def _still_leg(x: float, y: float) -> MobilityLeg:
 class World:
     """Node placement plus per-node current mobility leg; positions are evaluated lazily."""
 
-    __slots__ = ("nodes", "side")
+    __slots__ = ("nodes", "side", "_index")
 
     def __init__(self, nodes: list[NodeRecord], side: float) -> None:
         if side <= 0.0:
             raise ValueError(f"arena side {side} must be positive")
         self.nodes = nodes
         self.side = side
+        self._index: _Index | None = None
 
     @classmethod
     def random(cls, n: int, tau: float, side: float, stream: RandomStream) -> "World":
@@ -106,6 +163,47 @@ class World:
         elif y > side:
             y = side
         return x, y
+
+    def near(self, x: float, y: float, t: float, reach: float) -> list[int]:
+        """Ids, ascending, of every node that may lie within `reach` of (x, y) at time t.
+
+        A superset: it holds each node whose x and y both lie within `reach`
+        of the point. Nodes are bucketed into reach-sized cells at a build time
+        t0; no node moves faster than the index's vmax, so one that is within
+        reach at t was within reach + vmax * (t - t0) of the point at t0. The
+        index is rebuilt when t < t0, when that drift passes one cell, or for
+        another reach. Legs change only through `start_leg`, which keeps it
+        valid; after setting a leg by hand, call `forget_index`.
+        """
+        idx = self._index
+        if idx is None or t < idx.t0 or reach != idx.reach \
+                or idx.vmax * (t - idx.t0) > idx.cell:
+            idx = self._index = _Index(self.nodes, self.side, t, reach)
+        r = reach + idx.vmax * (t - idx.t0) + _INDEX_MARGIN
+        inv = idx.inv
+        cols = idx.cols
+        last = cols - 1
+        i0 = int((x - r) * inv)
+        i1 = int((x + r) * inv)
+        j0 = int((y - r) * inv)
+        j1 = int((y + r) * inv)
+        xs = range(0 if i0 < 0 else last if i0 > last else i0,
+                   (0 if i1 < 0 else last if i1 > last else i1) + 1)
+        cells = idx.cells
+        out: list[int] = []
+        for j in range(0 if j0 < 0 else last if j0 > last else j0,
+                       (0 if j1 < 0 else last if j1 > last else j1) + 1):
+            row = j * cols
+            for i in xs:
+                ids = cells.get(row + i)
+                if ids is not None:
+                    out += ids
+        out.sort()
+        return out
+
+    def forget_index(self) -> None:
+        """Drop the position index, so legs set by hand are seen by the next `near`."""
+        self._index = None
 
     def start_leg(self, node_id: int, t: float, stream: RandomStream) -> MobilityLeg:
         """Begin a new leg at time t from the node's current position.

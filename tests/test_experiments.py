@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from locatesim import experiments
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_once, sweep, worker_count)
 from locatesim.protocol import DTN_FROZEN, E_REQ, SOLVED, ProtocolParams
@@ -227,6 +228,38 @@ def test_frozen_carrier_with_hop_budget_is_not_cut_off():
     assert later and all(node == 4 for _, node in later)  # the walker thaws and carries on
     assert later[0][0] > all_frozen + 100.0  # 50 m at 0.5 m/s
     assert res.end_time_s == 600.0
+
+
+@pytest.mark.parametrize("protocol", ["locate", "locate-basic"])
+def test_quiescent_exit_equals_a_run_to_the_horizon(protocol, monkeypatch):
+    cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
+    quiet = {}
+    for idx in range(6):
+        trace = []
+        quiet[idx] = (run_once(cfg, idx, trace=trace), trace)
+    # the sample must hold runs that end at the horizon, which the quiescent exit decides
+    assert sum(res.end_time_s == cfg.horizon_s for res, _ in quiet.values()) >= 3
+    monkeypatch.setattr(experiments, "may_transmit", lambda st: True)  # never quiescent
+    for idx, (res, trace) in quiet.items():
+        full_trace = []
+        full = run_once(cfg, idx, trace=full_trace)
+        assert dataclasses.replace(full, end_time_s=res.end_time_s) == res, idx
+        # nothing was transmitted, and nobody became aware, after the quiescent exit
+        assert [e for e in full_trace if e[0] != "phase"] == [e for e in trace if e[0] != "phase"]
+
+
+def test_a_reused_world_is_reindexed_for_each_run():
+    # node 1 starts 1,400 m west of the source; in the second run it walks east
+    # at 40 m/s, faster than any leg the first run's position index allowed for
+    world = static_world(5000.0, [(2500.0, 2500.0), (1100.0, 2500.0, Role.RELAY)])
+    cfg = ScenarioConfig(n=1, tau=0.0, protocol="flooding", horizon_s=1.0)
+    trace = []
+    run_once(cfg, 0, world=world, trace=trace)  # one beacon, at t = 0
+    assert [e[0] for e in trace] == ["tx"]
+    walking(world, 1, 40.0)  # in range from t = 22.5 s to 47.5 s
+    trace = []
+    run_once(dataclasses.replace(cfg, horizon_s=60.0), 0, world=world, trace=trace)
+    assert [e[2] for e in trace if e[0] == "aware"] == [1]
 
 
 def _spur_world():

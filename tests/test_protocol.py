@@ -110,11 +110,11 @@ ORIGIN = (2500.0, 2500.0)
 
 
 def req(tx=0, ttl=16, tx_pos=ORIGIN):
-    return Message(E_REQ, None, tx, tx_pos, ttl)
+    return Message(E_REQ, tx, tx_pos, ttl)
 
 
-def rep(tx=5, ttl=15, tx_pos=ORIGIN, solver=5):
-    return Message(E_REP, solver, tx, tx_pos, ttl)
+def rep(tx=5, ttl=15, tx_pos=ORIGIN):
+    return Message(E_REP, tx, tx_pos, ttl)
 
 
 def timer_delays(acts):
@@ -226,7 +226,7 @@ def test_solver_reply_fire_marks_solved():
     b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     acts = b.on_timer(st, ACCEPT, 5.0, pos, RandomStream(4))
     (msg,) = sent(acts)
-    assert (msg.kind, msg.solver, msg.ttl) == (E_REP, st.node, 15)
+    assert (msg.kind, msg.tx, msg.ttl) == (E_REP, st.node, 15)
     assert st.phase == SOLVED
     assert STOP_POLL in ops(acts)
     assert st.cached_rep == msg
@@ -247,7 +247,7 @@ def test_solver_rearms_for_each_new_request():
     assert st.pending_reply_ttl == 9
     acts = b.on_timer(st, ACCEPT, 55.0, pos, RandomStream(7))
     (msg,) = sent(acts)
-    assert (msg.solver, msg.ttl) == (st.node, 9)
+    assert (msg.tx, msg.ttl) == (st.node, 9)
 
 
 def test_ttl_zero_request_creates_awareness_but_no_reply():
@@ -549,7 +549,7 @@ def test_solved_node_answers_requests_from_cache():
     assert slot == ACCEPT and delay < acceptance_window(400.0, P)
     acts = b.on_timer(st, ACCEPT, 31.0, pos, RandomStream(6))
     (msg,) = sent(acts)
-    assert (msg.kind, msg.solver, msg.ttl) == (E_REP, 5, 13)
+    assert (msg.kind, msg.tx, msg.ttl) == (E_REP, st.node, 13)
     # cached answers are demand-driven: a fresh request re-arms immediately
     acts = b.on_delivery(st, req(tx=4, ttl=8), 32.0, pos, RandomStream(7))
     assert ACCEPT in timer_delays(acts)
@@ -615,7 +615,7 @@ def test_flooding_solver_always_answers():
     assert ACCEPT in delays and FORWARD not in delays
     acts = b.on_timer(st, ACCEPT, 5.0, pos, RandomStream(4))
     (msg,) = sent(acts)
-    assert (msg.kind, msg.solver, msg.ttl) == (E_REP, st.node, 15)
+    assert (msg.kind, msg.tx, msg.ttl) == (E_REP, st.node, 15)
     assert st.phase == SOLVED
 
 

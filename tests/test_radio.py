@@ -3,13 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locatesim.kernel import RandomStream
-from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, RadioProfile, broadcast,
-                             collided, lora_profile, pdr, wifi_profile)
-from locatesim.world import Role
+from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioProfile,
+                             broadcast, collided, lora_profile, pdr, wifi_profile)
+from locatesim.world import SPEED_MAX, NodeRecord, Role, World, distance
 
-from topologies import static_world
+from topologies import static_world, still_leg, walking
 
 
 def test_profile_presets():
@@ -95,6 +97,78 @@ def test_smooth_broadcast_draws_are_seed_deterministic():
     # at 420 m the delivery ratio is ~0.5, so both outcomes must occur
     counts = {len(out) for out in got_a}
     assert counts == {0, 1}
+
+
+def test_broadcast_with_a_range_shorter_than_the_index_margin():
+    # 3 cm and 6 cm from a 5 cm radio, across a 1 m cell edge: only the first hears it
+    world = static_world(10.0, [(0.99, 5.0), (1.02, 5.0, Role.RELAY), (1.05, 5.0, Role.RELAY)])
+    profile = RadioProfile(range_m=0.05)
+    assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == [1]
+    assert broadcast(world, 1, 7.0, profile, RandomStream(1)) == [0, 2]
+
+
+def _brute_force(world, tx_node, t, profile, stream):
+    """Every node evaluated, in id order: what broadcast returns without its index."""
+    tx_pos = world.position_at(tx_node, t)
+    out = []
+    for rec in world.nodes:
+        if rec.id == tx_node:
+            continue
+        p = pdr(distance(tx_pos, world.position_at(rec.id, t)), profile)
+        if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):
+            out.append(rec.id)
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    """A world of 1-41 nodes, a radio profile and a schedule of broadcast times."""
+    side = draw(st.floats(200.0, 6000.0))
+    coord = st.one_of(st.sampled_from((0.0, side)), st.floats(0.0, side))  # edges, corners
+    n = draw(st.integers(0, 40))
+    spots = draw(st.lists(st.tuples(coord, coord, st.booleans()), min_size=n, max_size=n))
+    nodes = [NodeRecord(0, Role.SOURCE, True, still_leg(side / 2.0, side / 2.0))]
+    for i, (x, y, mobile) in enumerate(spots, start=1):
+        nodes.append(NodeRecord(i, Role.RELAY, not mobile, still_leg(x, y)))
+    world = World(nodes, side)
+    legs = RandomStream(draw(st.integers(0, 2**31 - 1)))
+    for rec in nodes[1:]:
+        if not rec.stationary:
+            world.start_leg(rec.id, 0.0, legs)
+    vmax = SPEED_MAX
+    if len(nodes) > 1 and draw(st.booleans()):
+        fast = draw(st.integers(1, len(nodes) - 1))
+        if nodes[fast].leg.x0 < side:  # a hand-built leg faster than start_leg would draw
+            vmax = draw(st.floats(SPEED_MAX + 0.5, 60.0))
+            walking(world, fast, vmax)
+    profile = RadioProfile(range_m=draw(st.floats(50.0, 1000.0)),
+                           pdr_model=draw(st.sampled_from((UNIT_DISK, SMOOTH))))
+    # time steps in units of the time the fastest node takes to cross one range,
+    # which is about the index's rebuild age: within it, past it, and back in time
+    age = profile.range_m / vmax
+    k = draw(st.integers(1, 20))
+    steps = draw(st.lists(st.floats(-0.5, 1.5).map(lambda f: f * age), min_size=k, max_size=k))
+    return world, legs, profile, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scan_cases(), st.integers(0, 2**31 - 1))
+def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
+    world, legs, profile, steps = case
+    stream = RandomStream(seed)
+    twin = RandomStream(seed)
+    t = 0.0
+    for step in steps:
+        t = max(t + step, 0.0)
+        for rec in world.nodes:  # begin new legs as the run loop does
+            while not rec.stationary and rec.leg.end < t:
+                world.start_leg(rec.id, rec.leg.end, legs)
+        # a query may go back in time, but not before any node's current leg
+        t = max([t] + [rec.leg.start for rec in world.nodes if not rec.stationary])
+        for tx_node in range(len(world.nodes)):
+            assert broadcast(world, tx_node, t, profile, stream) == \
+                _brute_force(world, tx_node, t, profile, twin), (tx_node, t)
+        assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)
 
 
 def _survivors(receptions: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
