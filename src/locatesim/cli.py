@@ -17,8 +17,7 @@ from .experiments import (PROTOCOLS, SWEEP_AXES, Aggregate, RunResult, ScenarioC
                           SweepRow, run_batch, sweep, sweep_points)
 from .protocol import (ProtocolParams, acceptance_window, distance_bias,
                        dtn_forward_probability, forwarding_window)
-from .radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
-                    lora_profile, wifi_profile)
+from .radio import lora_profile, wifi_profile
 
 RUNS_HEADER = "protocol,n,tau,run,seed,solved,ert_s,ereq_count,erep_count,end_time_s"
 AGG_HEADER = "protocol,n,tau,p_start,runs,err_pct,ert_mean_s,ert_ci95_s,eo_mean,eo_ci95"
@@ -117,19 +116,11 @@ def scenario_from_settings(settings: dict[str, str]) -> ScenarioConfig:
     if "radio_airtime" in settings:
         overrides["airtime_s"] = _real(settings["radio_airtime"], "radio_airtime")
     if "radio_pdr_model" in settings:
-        model = settings["radio_pdr_model"]
-        if model not in (UNIT_DISK, SMOOTH):
-            raise ConfigError(f"radio_pdr_model: expected {UNIT_DISK!r} or {SMOOTH!r}, "
-                              f"got {model!r}")
-        overrides["pdr_model"] = model
+        overrides["pdr_model"] = settings["radio_pdr_model"]
     if "radio_beta" in settings:
         overrides["beta"] = _real(settings["radio_beta"], "radio_beta")
     if "radio_interference" in settings:
-        mode = settings["radio_interference"]
-        if mode not in (INTERFERENCE_NONE, INTERFERENCE_COLLISION):
-            raise ConfigError(f"radio_interference: expected {INTERFERENCE_NONE!r} or "
-                              f"{INTERFERENCE_COLLISION!r}, got {mode!r}")
-        overrides["interference"] = mode
+        overrides["interference"] = settings["radio_interference"]
 
     param_fields = {
         "cw_min": "cw_min_s", "cw_max": "cw_max_s", "gamma": "gamma_per_m",

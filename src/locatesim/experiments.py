@@ -258,18 +258,32 @@ def worker_count(runs: int) -> int:
     return max(1, min(requested, runs))
 
 
-def run_batch(config: ScenarioConfig, workers: int | None = None) -> tuple[list[RunResult], Aggregate]:
-    """All runs of a config, in run-index order, plus their aggregate."""
+def run_batches(configs: list[ScenarioConfig], workers: int | None = None
+                ) -> list[tuple[list[RunResult], Aggregate]]:
+    """All runs of every config on one pool: per config, in config order, its runs
+    in run-index order plus their aggregate."""
+    tasks = [(cfg, i) for cfg in configs for i in range(cfg.runs)]
     if workers is None:
-        workers = worker_count(config.runs)
-    if workers <= 1 or config.runs == 1:
-        results = [run_once(config, i) for i in range(config.runs)]
+        workers = worker_count(len(tasks))
+    if workers <= 1 or len(tasks) == 1:
+        flat = [run_once(cfg, i) for cfg, i in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.runs // (workers * 4))
-            results = list(pool.map(_run_indexed, ((config, i) for i in range(config.runs)),
-                                    chunksize=chunk))
-    return results, aggregate(results, config.params.e_thr_s)
+            # map keeps task order, so the results match a serial loop
+            flat = list(pool.map(_run_indexed, tasks,
+                                 chunksize=max(1, len(tasks) // (workers * 4))))
+    batches = []
+    start = 0
+    for cfg in configs:
+        results = flat[start:start + cfg.runs]
+        start += cfg.runs
+        batches.append((results, aggregate(results, cfg.params.e_thr_s)))
+    return batches
+
+
+def run_batch(config: ScenarioConfig, workers: int | None = None) -> tuple[list[RunResult], Aggregate]:
+    """All runs of a config, in run-index order, plus their aggregate."""
+    return run_batches([config], workers)[0]
 
 
 def aggregate(results: list[RunResult], e_thr_s: float) -> Aggregate:
@@ -325,16 +339,15 @@ def sweep_points(config: ScenarioConfig, axis: str, values: list[float],
 
 def sweep(config: ScenarioConfig, axis: str, values: list[float],
           protocols: list[str] | None = None) -> list[SweepRow]:
-    """Run a batch per (protocol, axis value); all rows share the base seed.
+    """A row per (protocol, axis value), every point's runs on one pool; all rows
+    share the base seed.
 
     Sharing seeds gives every row the same sequence of worlds, so protocol
     comparisons at a point are paired rather than independent.
     """
-    rows = []
-    for cfg in sweep_points(config, axis, values, protocols):
-        results, agg = run_batch(cfg)
-        rows.append(SweepRow(cfg.protocol, cfg.n, cfg.tau, cfg.params.p_start, results, agg))
-    return rows
+    points = sweep_points(config, axis, values, protocols)
+    return [SweepRow(cfg.protocol, cfg.n, cfg.tau, cfg.params.p_start, results, agg)
+            for cfg, (results, agg) in zip(points, run_batches(points))]
 
 
 def _at_point(config: ScenarioConfig, protocol_name: str, axis: str, value: float) -> ScenarioConfig:

@@ -67,9 +67,6 @@ class EventQueue:
                 return Event(time, kind, node, data)
         return None
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 class RandomStream:
     """Seeded pseudo-random source; the draw sequence depends only on seed and call order."""
@@ -78,9 +75,6 @@ class RandomStream:
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def uniform(self, lo: float, hi: float) -> float:
         """Draw from [lo, hi); returns lo when the interval is degenerate."""

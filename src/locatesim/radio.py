@@ -34,10 +34,13 @@ class RadioProfile:
             raise ValueError(f"airtime {self.airtime_s} must be positive")
         if self.beta <= 0.0:
             raise ValueError(f"smooth-model exponent beta {self.beta} must be positive")
+        # named as the config keys, since the CLI reports these messages as they are
         if self.pdr_model not in (UNIT_DISK, SMOOTH):
-            raise ValueError(f"unknown pdr model {self.pdr_model!r}")
+            raise ValueError(f"radio_pdr_model: expected {UNIT_DISK!r} or {SMOOTH!r}, "
+                             f"got {self.pdr_model!r}")
         if self.interference not in (INTERFERENCE_NONE, INTERFERENCE_COLLISION):
-            raise ValueError(f"unknown interference mode {self.interference!r}")
+            raise ValueError(f"radio_interference: expected {INTERFERENCE_NONE!r} or "
+                             f"{INTERFERENCE_COLLISION!r}, got {self.interference!r}")
 
 
 def lora_profile(**overrides) -> RadioProfile:

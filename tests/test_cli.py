@@ -94,6 +94,8 @@ def test_scenario_rejects_bad_values():
         scenario_from_settings({**base, "radio": "zigbee"})
     with pytest.raises(ConfigError, match="radio_pdr_model"):
         scenario_from_settings({**base, "radio_pdr_model": "cliff"})
+    with pytest.raises(ConfigError, match="radio_interference"):
+        scenario_from_settings({**base, "radio_interference": "capture"})
     with pytest.raises(ConfigError):  # domain error surfaces as config error
         scenario_from_settings({**base, "tau": "1.5"})
     with pytest.raises(ConfigError):

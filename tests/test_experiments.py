@@ -7,7 +7,8 @@ import pytest
 
 from locatesim import experiments
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
-                                   aggregate, run_batch, run_once, sweep, worker_count)
+                                   aggregate, run_batch, run_batches, run_once, sweep,
+                                   sweep_points, worker_count)
 from locatesim.protocol import DTN_FROZEN, E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import lora_profile
 from locatesim.world import Role
@@ -85,6 +86,33 @@ def test_worker_pool_matches_serial(monkeypatch):
     pool_results, pool_agg = run_batch(cfg)
     assert pool_results == serial_results
     assert pool_agg == serial_agg
+
+
+def test_run_batches_equals_run_batch_per_config(monkeypatch):
+    configs = [small(runs=5), small(protocol="flooding", n=6, runs=1),
+               small(protocol="probabilistic", tau=0.4, runs=3),
+               small(protocol="locate-basic", n=14, tau=0.1, runs=2)]
+    serial = [run_batch(cfg, workers=1) for cfg in configs]
+    monkeypatch.setenv(THREADS_ENV, "3")
+    assert run_batches(configs) == serial
+
+
+def test_sweep_starts_one_pool(monkeypatch):
+    started = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv(THREADS_ENV, "2")
+    base = small(runs=2)
+    args = ("tau", [0.1, 0.2, 0.3], ["locate", "flooding"])
+    rows = sweep(base, *args)
+    assert len(started) == 1
+    assert [(row.results, row.agg) for row in rows] \
+        == [run_batch(cfg, workers=1) for cfg in sweep_points(base, *args)]
 
 
 def test_worker_count_env(monkeypatch):

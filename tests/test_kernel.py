@@ -61,23 +61,24 @@ def test_schedule_in_the_past_rejected():
     q.schedule(5.0, TIMER, 1)  # same instant is allowed
 
 
-def test_len_counts_pending_entries():
+def test_pending_entries_pop_until_drained():
     q = EventQueue()
     q.schedule(1.0, TIMER, 1)
     q.schedule(2.0, TIMER, 2)
-    assert len(q) == 2
+    assert [q.pop().node, q.pop().node] == [1, 2]
+    assert q.pop() is None
 
 
 def test_same_seed_same_draws():
     a = RandomStream(42)
     b = RandomStream(42)
-    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+    assert [a.uniform(0.0, 1.0) for _ in range(5)] == [b.uniform(0.0, 1.0) for _ in range(5)]
     assert a.uniform(1.0, 9.0) == b.uniform(1.0, 9.0)
     assert a.sample(range(100), 7) == b.sample(range(100), 7)
 
 
 def test_different_seeds_diverge():
-    assert RandomStream(1).random() != RandomStream(2).random()
+    assert RandomStream(1).uniform(0.0, 1.0) != RandomStream(2).uniform(0.0, 1.0)
 
 
 def test_uniform_stays_in_half_open_interval():

@@ -1,9 +1,11 @@
 """Run-level invariants over generated small scenarios, read back from `trace=` lists."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locatesim.experiments import PROTOCOLS, SOURCE_ID, ScenarioConfig, run_once
+from locatesim.experiments import PROTOCOLS, SOURCE_ID, ScenarioConfig, run_batches, run_once
 from locatesim.protocol import E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              lora_profile)
@@ -58,3 +60,14 @@ def test_trace_invariants(config):
     assert result.end_time_s == (config.horizon_s if settled_at is None else settled_at)
     assert result.ert_s == source_solved_at
     assert (result.ereq_count, result.erep_count) == (requests, replies)
+
+
+# a few runs each at horizons up to 10 min, so ten examples cost a few pool start-ups
+batch_configs = st.builds(lambda cfg, runs, horizon_s: replace(cfg, runs=runs, horizon_s=horizon_s),
+                          configs, st.integers(1, 4), st.floats(1.0, 600.0))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(batch_configs, min_size=2, max_size=4))
+def test_pooled_batches_equal_serial(batch):
+    assert run_batches(batch, workers=2) == run_batches(batch, workers=1)

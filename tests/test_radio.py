@@ -85,7 +85,7 @@ def test_unit_disk_broadcast_consumes_no_randomness():
     world = _triangle(250.0)
     stream = RandomStream(99)
     broadcast(world, 0, 0.0, lora_profile(), stream)
-    assert stream.random() == RandomStream(99).random()
+    assert stream.uniform(0.0, 1.0) == RandomStream(99).uniform(0.0, 1.0)
 
 
 def test_smooth_broadcast_draws_are_seed_deterministic():
