@@ -13,13 +13,14 @@ from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, STOP_
                        TRANSMIT, EmergencyState, FloodingBehavior, LocateBehavior,
                        ProtocolParams, may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
-from .world import Role, World
+from .world import DRIFT_MARGIN, SPEED_MAX, Role, World, distance
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
 
 PROTOCOLS = ("locate", "locate-basic", "flooding", "probabilistic")
 
-POLL_PERIOD_S = 1.0  # movement check cadence while a carrier is frozen
+# movement check lattice while a carrier is frozen: ticks that cannot thaw it are skipped
+POLL_PERIOD_S = 1.0
 
 SOURCE_ID = 0
 
@@ -102,7 +103,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     hearing one (`protocol.may_transmit`), so the counts and the resolution
     time are final. In a world with a mobile node the queue would then hold
     only leg ends and idle ticks until the horizon, so the run stops with
-    end_time_s = horizon_s; static worlds run on to drain or horizon.
+    end_time_s = horizon_s; a static world stops with the event after which
+    nothing could transmit.
+
+    A frozen carrier thaws at the first tick of its 1 s poll lattice at which
+    it is dtn_dist from its anchor. No node outruns max(SPEED_MAX, its current
+    leg speed), so the ticks before it could have gone that far are skipped
+    rather than popped; the lattice is still built by repeated addition, so
+    the tick that thaws it is the same float as with every tick popped.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -115,6 +123,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     airtime = profile.airtime_s
     collision = profile.interference == INTERFERENCE_COLLISION
     horizon = config.horizon_s
+    thaw_reach = config.params.dtn_dist_m - DRIFT_MARGIN
 
     queue = EventQueue()
     states: dict[int, EmergencyState] = {}
@@ -160,7 +169,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                 queue.cancel(act[2])
             elif op == START_POLL:
                 if node not in polls:
-                    polls[node] = queue.schedule(t + POLL_PERIOD_S, FREEZE_POLL, node, None)
+                    due = t + POLL_PERIOD_S
+                    if st.freeze_pos is not None:
+                        slack = thaw_reach - distance(world.position_at(node, t), st.freeze_pos)
+                        vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
+                        while (due - t) * vmax < slack and due <= horizon:
+                            due += POLL_PERIOD_S
+                    polls[node] = queue.schedule(due, FREEZE_POLL, node, None)
             elif op == STOP_POLL:
                 handle = polls.pop(node, None)
                 if handle is not None:
@@ -187,12 +202,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     phase_seen: dict[int, int] = {}
     end_time = 0.0
     while True:
-        if mobile and not able and not in_flight:
-            end_time = horizon  # quiescent: leg ends alone would carry the run to the horizon
+        if not able and not in_flight:
+            # quiescent: leg ends alone would carry a mobile world to the horizon
+            end_time = horizon if mobile else queue.now
             break
         t_next = queue.peek()
-        if t_next is None:
-            end_time = queue.now  # drained: every aware node reached a rest state
+        if t_next is None:  # a drained queue is quiescent, so this only guards the pop
+            end_time = queue.now
             break
         if t_next > horizon:
             end_time = horizon

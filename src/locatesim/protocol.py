@@ -39,7 +39,7 @@ DTN = "dtn"  # periodic rebroadcast (also the source's beacon slot)
 TRANSMIT = 0  # (TRANSMIT, message)
 SET_TIMER = 1  # (SET_TIMER, slot, delay_s)
 CANCEL_TIMER = 2  # (CANCEL_TIMER, slot, queue handle)
-START_POLL = 3  # (START_POLL,)  begin 1 Hz movement polling
+START_POLL = 3  # (START_POLL,)  poll movement at the next 1 s tick that could thaw a frozen carrier
 STOP_POLL = 4  # (STOP_POLL,)
 
 

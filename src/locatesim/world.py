@@ -13,7 +13,9 @@ SPEED_MAX = 3.0  # m/s
 
 _SNAP = 1e-6  # m, endpoint snap to the arena edge
 
-_INDEX_MARGIN = 1.0  # m, World.near: covers float rounding and the _SNAP pull of each new leg
+# m, slack on every speed-bound reach (World.near, skipped freeze polls):
+# covers float rounding and the _SNAP pull of each new leg
+DRIFT_MARGIN = 1.0
 
 
 class Role(IntEnum):
@@ -60,7 +62,7 @@ class _Index:
     def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
         self.t0 = t0
         self.reach = reach
-        self.cell = cell = max(reach, _INDEX_MARGIN)
+        self.cell = cell = max(reach, DRIFT_MARGIN)
         self.inv = inv = 1.0 / cell
         self.cols = cols = max(1, math.ceil(side / cell))
         last = cols - 1
@@ -179,7 +181,7 @@ class World:
         if idx is None or t < idx.t0 or reach != idx.reach \
                 or idx.vmax * (t - idx.t0) > idx.cell:
             idx = self._index = _Index(self.nodes, self.side, t, reach)
-        r = reach + idx.vmax * (t - idx.t0) + _INDEX_MARGIN
+        r = reach + idx.vmax * (t - idx.t0) + DRIFT_MARGIN
         inv = idx.inv
         cols = idx.cols
         last = cols - 1

@@ -9,7 +9,7 @@ from locatesim import experiments
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_batches, run_once, sweep,
                                    sweep_points, worker_count)
-from locatesim.protocol import DTN_FROZEN, E_REQ, SOLVED, ProtocolParams
+from locatesim.protocol import DTN_ACTIVE, DTN_FROZEN, E_REQ, SOLVED, LocateBehavior, ProtocolParams
 from locatesim.radio import lora_profile
 from locatesim.world import Role
 from topologies import line_world, pair_world, static_world, walking
@@ -232,22 +232,80 @@ def test_pinned_24h_run_results():
         assert _fields(run_once(cfg, idx)) == tuple(expected), (protocol, idx)
 
 
-def _frozen_trio():
+def _static_trio():
     # a solver 300 m west answers the source; three relays 400 m east never
-    # hear the reply, carry the request and freeze on each other's rebroadcasts;
-    # node 4 walks east at 0.5 m/s, so only it thaws, about 100 s later
+    # hear the reply, carry the request and freeze on each other's rebroadcasts
     half = 2500.0
-    world = static_world(5000.0, [(half, half), (half - 300.0, half, Role.SOLVER),
-                                  (half + 400.0, half + 30.0, Role.RELAY),
-                                  (half + 400.0, half - 30.0, Role.RELAY),
-                                  (half + 420.0, half, Role.RELAY)])
-    return walking(world, 4, 0.5)
+    return static_world(5000.0, [(half, half), (half - 300.0, half, Role.SOLVER),
+                                 (half + 400.0, half + 30.0, Role.RELAY),
+                                 (half + 400.0, half - 30.0, Role.RELAY),
+                                 (half + 420.0, half, Role.RELAY)])
+
+
+def _convoy():
+    # the three relays walk east side by side at 20 m/s, faster than any leg
+    # start_leg draws, so they freeze on each other and thaw 2.5 s later
+    world = _static_trio()
+    for node in (2, 3, 4):
+        walking(world, node, 20.0)
+    return world
+
+
+def _polled(monkeypatch, speed_max, cases):
+    """RunResult and trace of each (config, run index, world factory) case, with
+    `speed_max` as the runner's speed bound, plus the freeze polls popped."""
+    popped = []
+    poll = LocateBehavior.on_freeze_poll
+
+    def counted(self, *args):
+        popped.append(args)
+        return poll(self, *args)
+
+    runs = []
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "SPEED_MAX", speed_max)
+        m.setattr(LocateBehavior, "on_freeze_poll", counted)
+        for cfg, idx, make_world in cases:
+            trace = []
+            runs.append((run_once(cfg, idx, world=make_world(), trace=trace), trace))
+    return runs, len(popped)
+
+
+def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
+    radios = [lora_profile(), lora_profile(pdr_model="smooth", interference="collision")]
+    drawn = [(ScenarioConfig(n=n, tau=0.15, radio=radio), idx, lambda: None)
+             for n in (5, 40) for radio in radios for idx in range(8)]
+    carry = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
+    convoy = [(carry, idx, _convoy) for idx in range(4)]
+    still = (dataclasses.replace(carry, horizon_s=3600.0), 3, _static_trio)
+    skipped, fewer = _polled(monkeypatch, experiments.SPEED_MAX, drawn + convoy + [still])
+    # no speed bound: every tick of the 1 s lattice is popped
+    every, popped = _polled(monkeypatch, math.inf, drawn + convoy + [still])
+    assert skipped == every
+    assert fewer < popped / 2
+    for res, trace in skipped[len(drawn):-1]:
+        # each convoy carrier thaws at the third tick after it froze (50 m at 20 m/s),
+        # which a bound of SPEED_MAX alone would skip past
+        frozen = {}
+        gaps = []
+        for e in trace:
+            if e[0] == "phase" and e[3] == DTN_FROZEN:
+                frozen[e[2]] = e[1]
+            elif e[0] == "phase" and e[3] == DTN_ACTIVE and e[2] in frozen:
+                gaps.append(e[1] - frozen.pop(e[2]))
+        assert gaps and all(gap == pytest.approx(3.0) for gap in gaps)
+    # carriers that stand still stay frozen with hop budget left, to the horizon
+    res, trace = skipped[-1]
+    assert res.end_time_s == 3600.0
+    last_phase = {e[2]: e[3] for e in trace if e[0] == "phase"}
+    assert sorted(node for node, phase in last_phase.items() if phase == DTN_FROZEN) == [2, 3, 4]
 
 
 def test_frozen_carrier_with_hop_budget_is_not_cut_off():
     cfg = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
     trace = []
-    res = run_once(cfg, 3, world=_frozen_trio(), trace=trace)
+    # node 4 walks east at 0.5 m/s, so only it thaws, about 100 s later
+    res = run_once(cfg, 3, world=walking(_static_trio(), 4, 0.5), trace=trace)
     frozen = {e[2]: e[1] for e in trace if e[0] == "phase" and e[3] == DTN_FROZEN}
     assert sorted(frozen) == [2, 3, 4]
     all_frozen = max(frozen.values())
@@ -300,11 +358,12 @@ def _spur_world():
 @pytest.mark.parametrize("protocol,ttl,expected", [
     # the relay forwards once and goes quiet: the queue drains
     ("flooding", 16, (True, 17.74867473874465, 4, 1, 17.74867473874465)),
-    # the relay carries a request with no hop budget left and ticks until the horizon
-    ("locate", 1, (True, 11.111478346337321, 3, 1, 3600.0)),
-    ("locate-basic", 1, (True, 11.111478346337321, 3, 1, 3600.0)),
+    # the relay's last rebroadcast, sent with no hop budget left, lands at 22.48 s;
+    # from then on the relay could only tick silently until the horizon
+    ("locate", 1, (True, 11.111478346337321, 3, 1, 22.479338693608234)),
+    ("locate-basic", 1, (True, 11.111478346337321, 3, 1, 22.479338693608234)),
 ])
-def test_static_worlds_end_as_before_the_quiescence_exit(protocol, ttl, expected):
+def test_static_worlds_end_when_nothing_can_transmit(protocol, ttl, expected):
     cfg = ScenarioConfig(n=2, tau=0.5, side_m=2500.0, protocol=protocol, horizon_s=3600.0,
                          params=ProtocolParams(ttl_init=ttl))
     assert _fields(run_once(cfg, 0, world=_spur_world())) == expected
