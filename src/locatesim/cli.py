@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (PROTOCOLS, SWEEP_AXES, Aggregate, RunResult, ScenarioConfig,
@@ -40,19 +39,38 @@ def _opt(x: float | None) -> str:
 
 # -- configuration ----------------------------------------------------------
 
-def _int_value(raw: str, key: str) -> int:
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    return v
+# config key -> (dataclass field, parser); a key left unset takes the field's default
+SCENARIO_KEYS = {
+    "protocol": ("protocol", str), "n": ("n", int), "tau": ("tau", float),
+    "runs": ("runs", int), "seed": ("base_seed", int), "horizon": ("horizon_s", float),
+    "side": ("side_m", float),
+}
+RADIO_KEYS = {  # overrides of the `radio` preset's RadioProfile
+    "radio_range": ("range_m", float), "radio_airtime": ("airtime_s", float),
+    "radio_pdr_model": ("pdr_model", str), "radio_beta": ("beta", float),
+    "radio_interference": ("interference", str),
+}
+PARAM_KEYS = {
+    "cw_min": ("cw_min_s", float), "cw_max": ("cw_max_s", float),
+    "gamma": ("gamma_per_m", float), "radius": ("radius_m", float),
+    "dtn_dist": ("dtn_dist_m", float), "p_start": ("p_start", float),
+    "q_flood": ("q_flood", float), "ttl_init": ("ttl_init", int), "e_thr": ("e_thr_s", float),
+}
+KNOWN_KEYS = {*SCENARIO_KEYS, *RADIO_KEYS, *PARAM_KEYS,
+              "radio", "out", "sweep_axis", "sweep_values", "protocols"}
 
 
-def _real(raw: str, key: str) -> float:
+def _parse(raw: str, key: str, kind: type) -> int | float | str:
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+
+
+def _fields(settings: dict[str, str], table: dict[str, tuple[str, type]]) -> dict[str, object]:
+    return {fld: _parse(settings[key], key, kind)
+            for key, (fld, kind) in table.items() if key in settings}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -73,29 +91,20 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-_SCALAR_KEYS = {
-    "protocol", "n", "tau", "runs", "seed", "horizon", "side", "out",
-    "radio", "radio_range", "radio_airtime", "radio_pdr_model", "radio_beta",
-    "radio_interference",
-    "cw_min", "cw_max", "gamma", "radius", "dtn_dist", "p_start", "q_flood",
-    "ttl_init", "e_thr",
-    "sweep_axis", "sweep_values", "protocols",
-}
-
-
 def build_settings(args: argparse.Namespace) -> dict[str, str]:
-    """Merge config file entries with command line flags; flags win."""
+    """Merge config file entries with command line flags; flags win.
+
+    Every flag's dest is its config key; `command` and `config` are the only other dests.
+    """
     settings: dict[str, str] = {}
     if getattr(args, "config", None):
         file_entries = parse_config_file(args.config)
-        unknown = sorted(set(file_entries) - _SCALAR_KEYS)
+        unknown = sorted(set(file_entries) - KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         settings.update(file_entries)
-    for key in ("protocol", "n", "tau", "runs", "seed", "horizon", "radio",
-                "p_start", "out", "sweep_axis", "sweep_values", "protocols"):
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
             settings[key] = str(value)
     return settings
 
@@ -110,44 +119,10 @@ def scenario_from_settings(settings: dict[str, str]) -> ScenarioConfig:
     preset = RADIO_PRESETS.get(radio_name)
     if preset is None:
         raise ConfigError(f"radio: expected one of {sorted(RADIO_PRESETS)}, got {radio_name!r}")
-    overrides = {}
-    if "radio_range" in settings:
-        overrides["range_m"] = _real(settings["radio_range"], "radio_range")
-    if "radio_airtime" in settings:
-        overrides["airtime_s"] = _real(settings["radio_airtime"], "radio_airtime")
-    if "radio_pdr_model" in settings:
-        overrides["pdr_model"] = settings["radio_pdr_model"]
-    if "radio_beta" in settings:
-        overrides["beta"] = _real(settings["radio_beta"], "radio_beta")
-    if "radio_interference" in settings:
-        overrides["interference"] = settings["radio_interference"]
-
-    param_fields = {
-        "cw_min": "cw_min_s", "cw_max": "cw_max_s", "gamma": "gamma_per_m",
-        "radius": "radius_m", "dtn_dist": "dtn_dist_m", "p_start": "p_start",
-        "q_flood": "q_flood", "e_thr": "e_thr_s",
-    }
-    param_overrides: dict[str, float | int] = {}
-    for key, fld in param_fields.items():
-        if key in settings:
-            param_overrides[fld] = _real(settings[key], key)
-    if "ttl_init" in settings:
-        param_overrides["ttl_init"] = _int_value(settings["ttl_init"], "ttl_init")
-
     try:
-        profile = preset(**overrides)
-        params = replace(ProtocolParams(), **param_overrides)
-        return ScenarioConfig(
-            n=_int_value(settings["n"], "n"),
-            tau=_real(settings["tau"], "tau"),
-            protocol=settings.get("protocol", "locate"),
-            side_m=_real(settings["side"], "side") if "side" in settings else 5000.0,
-            runs=_int_value(settings.get("runs", "1000"), "runs"),
-            base_seed=_int_value(settings.get("seed", "1"), "seed"),
-            horizon_s=_real(settings.get("horizon", "86400"), "horizon"),
-            radio=profile,
-            params=params,
-        )
+        return ScenarioConfig(**_fields(settings, SCENARIO_KEYS),
+                              radio=preset(**_fields(settings, RADIO_KEYS)),
+                              params=ProtocolParams(**_fields(settings, PARAM_KEYS)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -198,25 +173,27 @@ def aggregate_csv_lines(rows: list[SweepRow]) -> list[str]:
     return lines
 
 
-_AXIS_COLUMN = {"tau": 3, "n": 2, "p_start": 4}
+# aggregate.csv column numbers by header name; gnuplot counts from 1
+_AGG_COLUMN = {name: i for i, name in enumerate(AGG_HEADER.split(","), start=1)}
 
+# y columns of each plot: a gnuplot `using` spec with AGG_HEADER names in braces
 _PLOT_BLOCKS = (
-    ("ert", "mean resolution time [s]", ("7", "8"), "yerrorlines"),
-    ("err", "runs resolved within deadline [%]", ("($6*100)",), "linespoints"),
-    ("eo", "mean request transmissions per run", ("9", "10"), "yerrorlines"),
+    ("ert", "mean resolution time [s]", "{ert_mean_s}:{ert_ci95_s}", "yerrorlines"),
+    ("err", "runs resolved within deadline [%]", "(${err_pct}*100)", "linespoints"),
+    ("eo", "mean request transmissions per run", "{eo_mean}:{eo_ci95}", "yerrorlines"),
 )
 
 
 def plot_script(axis: str, protocols: list[str], csv_name: str = "aggregate.csv") -> str:
     """Gnuplot script with one png stanza per metric, one series per protocol."""
-    col = _AXIS_COLUMN[axis]
+    col = _AGG_COLUMN[axis]
     out = [
         "# Render with: gnuplot plot.gp",
         'set datafile separator ","',
         "set grid",
         "set key outside right top",
     ]
-    for stem, ylabel, ycols, style in _PLOT_BLOCKS:
+    for stem, ylabel, using, style in _PLOT_BLOCKS:
         out.append("")
         out.append("set terminal pngcairo size 900,560")
         out.append(f'set output "{stem}_vs_{axis}.png"')
@@ -225,7 +202,7 @@ def plot_script(axis: str, protocols: list[str], csv_name: str = "aggregate.csv"
         series = []
         for name in protocols:
             x = f'(stringcolumn(1) eq "{name}" ? ${col} : NaN)'
-            series.append(f'"{csv_name}" every ::1 using {x}:{":".join(ycols)} '
+            series.append(f'"{csv_name}" every ::1 using {x}:{using.format_map(_AGG_COLUMN)} '
                           f'with {style} title "{name}"')
         out.append("plot \\\n  " + ", \\\n  ".join(series))
     out.append("")

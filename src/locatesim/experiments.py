@@ -46,6 +46,8 @@ class ScenarioConfig:
             raise ValueError(f"solver fraction {self.tau} outside [0, 1]")
         if self.runs < 1:
             raise ValueError(f"run count {self.runs} must be at least 1")
+        if self.base_seed < 0:  # random.Random seeds with |seed|: -1 would replay seed 1's runs
+            raise ValueError(f"seed {self.base_seed} must be non-negative")
         for name in ("tau", "side_m", "horizon_s"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -1,14 +1,20 @@
 """Config parsing, CSV/plot emission, selftest, and the exit-code contract."""
 
 import argparse
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
-from locatesim.cli import (AGG_HEADER, RUNS_HEADER, ConfigError, aggregate_csv_lines,
+from locatesim.cli import (AGG_HEADER, KNOWN_KEYS, PARAM_KEYS, RADIO_KEYS, RUNS_HEADER,
+                           SCENARIO_KEYS, ConfigError, aggregate_csv_lines, build_parser,
                            build_settings, format_real, main, parse_config_file,
                            plot_script, runs_csv_lines, scenario_from_settings,
                            selftest_report, sweep_plan, write_outputs)
 from locatesim.experiments import ScenarioConfig, SweepRow, run_batch
+from locatesim.protocol import ProtocolParams
+from locatesim.radio import RadioProfile, wifi_profile
 
 
 def test_format_real_keeps_six_significant_digits():
@@ -100,6 +106,36 @@ def test_scenario_rejects_bad_values():
         scenario_from_settings({**base, "tau": "1.5"})
     with pytest.raises(ConfigError):
         scenario_from_settings({**base, "cw_min": "30"})
+
+
+def test_every_config_field_has_a_key():
+    tables = ((SCENARIO_KEYS, ScenarioConfig, {"radio", "params"}),
+              (RADIO_KEYS, RadioProfile, set()), (PARAM_KEYS, ProtocolParams, set()))
+    for table, cls, nested in tables:
+        types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in nested}
+        assert {fld: kind.__name__ for fld, kind in table.values()} == types
+    # build_settings takes every flag's dest as its config key
+    assert set(vars(build_parser().parse_args(["sweep"]))) - {"command", "config"} <= KNOWN_KEYS
+
+
+def test_unset_keys_take_the_library_defaults():
+    assert scenario_from_settings({"n": "40", "tau": "0.15"}) == ScenarioConfig(n=40, tau=0.15)
+    assert (scenario_from_settings({"n": "40", "tau": "0.15", "radio": "wifi"})
+            == ScenarioConfig(n=40, tau=0.15, radio=wifi_profile()))
+
+
+def test_readme_lists_the_config_keys_with_the_library_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \| ([^|]*)\|", section, re.M))
+    assert set(documented) == KNOWN_KEYS
+    library = scenario_from_settings({"n": "1", "tau": "0"})
+    for table, obj in ((SCENARIO_KEYS, library), (RADIO_KEYS, library.radio),
+                       (PARAM_KEYS, library.params)):
+        for key, (fld, kind) in table.items():
+            if key not in ("n", "tau"):  # required, so the README gives no default
+                default = re.match(r"`([^`]*)`", documented[key]).group(1)
+                assert kind(default) == getattr(obj, fld), key
 
 
 def test_sweep_plan_parses_axis_values_and_protocols():
@@ -252,6 +288,14 @@ def test_main_zero_radio_beta_exits_2(tmp_path, capsys):
     cfg.write_text("n = 5\ntau = 0.2\nruns = 1\nradio_pdr_model = smooth\nradio_beta = 0\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "beta 0.0 must be positive" in capsys.readouterr().err
+
+
+def test_main_negative_seed_exits_2(tmp_path, capsys):
+    # random.Random seeds with |seed|: run i of base seed -1 would replay run i + 1 of seed 0
+    out_dir = tmp_path / "out"
+    assert main(RUN_ARGS + ["--seed", "-1", "--out", str(out_dir)]) == 2
+    assert "seed -1 must be non-negative" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("axis,values,message", [

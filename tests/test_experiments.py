@@ -32,6 +32,8 @@ def test_config_validation():
         ScenarioConfig(runs=0)
     with pytest.raises(ValueError):
         ScenarioConfig(horizon_s=0.0)
+    with pytest.raises(ValueError, match="seed -1 must be non-negative"):
+        ScenarioConfig(base_seed=-1)  # random.Random(-1) is random.Random(1)
     for field in ("horizon_s", "side_m"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
