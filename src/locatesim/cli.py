@@ -184,7 +184,7 @@ _PLOT_BLOCKS = (
 )
 
 
-def plot_script(axis: str, protocols: list[str], csv_name: str = "aggregate.csv") -> str:
+def plot_script(axis: str, protocols: list[str]) -> str:
     """Gnuplot script with one png stanza per metric, one series per protocol."""
     col = _AGG_COLUMN[axis]
     out = [
@@ -202,7 +202,7 @@ def plot_script(axis: str, protocols: list[str], csv_name: str = "aggregate.csv"
         series = []
         for name in protocols:
             x = f'(stringcolumn(1) eq "{name}" ? ${col} : NaN)'
-            series.append(f'"{csv_name}" every ::1 using {x}:{using.format_map(_AGG_COLUMN)} '
+            series.append(f'"aggregate.csv" every ::1 using {x}:{using.format_map(_AGG_COLUMN)} '
                           f'with {style} title "{name}"')
         out.append("plot \\\n  " + ", \\\n  ".join(series))
     out.append("")

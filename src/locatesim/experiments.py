@@ -9,11 +9,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
-from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, STOP_POLL,
-                       TRANSMIT, EmergencyState, FloodingBehavior, LocateBehavior,
-                       ProtocolParams, may_transmit)
+from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
+                       EmergencyState, FloodingBehavior, LocateBehavior, ProtocolParams,
+                       may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
-from .world import DRIFT_MARGIN, SPEED_MAX, Role, World, distance
+from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
 
@@ -109,10 +109,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     nothing could transmit.
 
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
-    it is dtn_dist from its anchor. No node outruns max(SPEED_MAX, its current
-    leg speed), so the ticks before it could have gone that far are skipped
-    rather than popped; the lattice is still built by repeated addition, so
-    the tick that thaws it is the same float as with every tick popped.
+    it is dtn_dist from its anchor. Each START_POLL carries the metres still
+    left; no node outruns max(SPEED_MAX, its current leg speed), so the ticks
+    before it could have gone that far are skipped rather than popped. The
+    lattice is still built by repeated addition, so the tick that thaws it is
+    the same float as with every tick popped. A node keeps at most one poll in
+    the queue: one still armed is reused, and a solved carrier's leftover poll
+    pops and does nothing.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -125,11 +128,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     airtime = profile.airtime_s
     collision = profile.interference == INTERFERENCE_COLLISION
     horizon = config.horizon_s
-    thaw_reach = config.params.dtn_dist_m - DRIFT_MARGIN
 
     queue = EventQueue()
     states: dict[int, EmergencyState] = {}
-    polls: dict[int, list] = {}
+    polls: set[int] = set()  # nodes with a freeze poll in the queue
     busy: dict[int, list[tuple[float, float]]] = {}
     aware = {SOURCE_ID}
     waiting = {SOURCE_ID}  # aware and not yet solved
@@ -172,16 +174,12 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             elif op == START_POLL:
                 if node not in polls:
                     due = t + POLL_PERIOD_S
-                    if st.freeze_pos is not None:
-                        slack = thaw_reach - distance(world.position_at(node, t), st.freeze_pos)
-                        vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
-                        while (due - t) * vmax < slack and due <= horizon:
-                            due += POLL_PERIOD_S
-                    polls[node] = queue.schedule(due, FREEZE_POLL, node, None)
-            elif op == STOP_POLL:
-                handle = polls.pop(node, None)
-                if handle is not None:
-                    queue.cancel(handle)
+                    slack = act[1] - DRIFT_MARGIN
+                    vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
+                    while (due - t) * vmax < slack and due <= horizon:
+                        due += POLL_PERIOD_S
+                    polls.add(node)
+                    queue.schedule(due, FREEZE_POLL, node, None)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")
         # handlers change only their own node, so only its flags can have moved
@@ -242,7 +240,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             queue.schedule(leg.end, LEG_END, node, None)
             continue
         else:  # FREEZE_POLL
-            polls.pop(node, None)
+            polls.discard(node)
             st = state_of(node)
             interpret(st, behavior.on_freeze_poll(st, t, world.position_at(node, t), stream), t)
         if trace is not None and st.phase != phase_seen.get(node):

@@ -39,8 +39,8 @@ DTN = "dtn"  # periodic rebroadcast (also the source's beacon slot)
 TRANSMIT = 0  # (TRANSMIT, message)
 SET_TIMER = 1  # (SET_TIMER, slot, delay_s)
 CANCEL_TIMER = 2  # (CANCEL_TIMER, slot, queue handle)
-START_POLL = 3  # (START_POLL,)  poll movement at the next 1 s tick that could thaw a frozen carrier
-STOP_POLL = 4  # (STOP_POLL,)
+START_POLL = 3  # (START_POLL, metres_left)  poll at the first 1 s tick that could thaw a
+#   carrier metres_left short; an armed poll is reused, one outside DTN_FROZEN is ignored
 
 
 class Message(NamedTuple):
@@ -124,7 +124,6 @@ class EmergencyState:
     stored_req: Message | None = None  # adopted request copy; baselines: the relay payload
     cached_rep: Message | None = None  # freshest reply seen
     pending_reply_ttl: int = -1  # armed original-reply budget; -1 means cached reply
-    pending_forward: int = -1  # message kind the forward slot will send
     overheard: set = field(default_factory=set)  # distinct carriers heard since entering DTN
     dtn_fire_at: float = -1.0  # absolute fire time of the live dtn timer
     dtn_remaining_s: float = -1.0  # residual dtn delay while frozen
@@ -204,7 +203,11 @@ def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[
         if st.phase != SOLVED:
             _become_solved(st, acts)
         return acts
-    # cached reply on behalf of an earlier solver
+    return _relay_cached_reply(st, t, pos)
+
+
+def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
+    """Relay the freshest reply on behalf of an earlier solver, if it has hop budget left."""
     rep = st.cached_rep
     if rep is None or rep.ttl < 1:
         return []
@@ -213,14 +216,12 @@ def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[
 
 
 def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
-    """The absorbing transition: stop spreading the request, carrying it and polling."""
+    """The absorbing transition: stop spreading and carrying the request (an armed poll pops idle)."""
     st.phase = SOLVED
     for slot in (GUARD, FORWARD, DTN):
         _cancel(st, acts, slot)
     st.freeze_pos = None
     st.dtn_remaining_s = -1.0
-    st.pending_forward = -1
-    acts.append((STOP_POLL,))
 
 
 class LocateBehavior(_SourceMixin):
@@ -256,7 +257,6 @@ class LocateBehavior(_SourceMixin):
         # relay the reply once per cooldown, contending like a distant forwarder
         if msg.ttl >= 1 and FORWARD not in st.live \
                 and t - st.erep_sent_at >= self.params.cw_max_s:
-            st.pending_forward = E_REP
             d = distance(msg.tx_pos, pos)
             _set(st, acts, FORWARD, stream.uniform(0.0, forwarding_window(d, self.params)))
         return acts
@@ -283,7 +283,6 @@ class LocateBehavior(_SourceMixin):
         elif st.phase == FORWARDING:
             # someone else is already spreading this request: stand down and carry
             _cancel(st, acts, FORWARD)
-            st.pending_forward = -1
             self._enter_dtn(st, t, stream, acts)
         elif st.phase == DTN_ACTIVE:
             if self.dtn_optimized and msg.tx not in st.overheard:
@@ -337,7 +336,6 @@ class LocateBehavior(_SourceMixin):
             return acts
         if st.stored_req.ttl >= 1:
             st.phase = FORWARDING
-            st.pending_forward = E_REQ
             d = distance(st.stored_req.tx_pos, pos)
             _set(st, acts, FORWARD, stream.uniform(0.0, forwarding_window(d, self.params)))
         else:
@@ -347,19 +345,16 @@ class LocateBehavior(_SourceMixin):
 
     def _fire_forward(self, st: EmergencyState, t: float, pos: tuple[float, float],
                       stream: RandomStream) -> list[tuple]:
-        acts: list[tuple] = []
-        if st.pending_forward == E_REQ:
+        # every way out of FORWARDING cancels or fires this slot, and a solved
+        # node (the only one to arm a reply relay) never forwards again
+        if st.phase == FORWARDING:
             st.stored_req = _relayed(st, st.stored_req, pos)
-            acts.append((TRANSMIT, st.stored_req))
-            st.pending_forward = -1
+            acts: list[tuple] = [(TRANSMIT, st.stored_req)]
             self._enter_dtn(st, t, stream, acts)
             return acts
-        st.pending_forward = -1
-        rep = st.cached_rep
-        if rep is not None and rep.ttl >= 1 and t - st.erep_sent_at >= self.params.cw_max_s:
-            st.erep_sent_at = t
-            acts.append((TRANSMIT, _relayed(st, rep, pos)))
-        return acts
+        if t - st.erep_sent_at >= self.params.cw_max_s:
+            return _relay_cached_reply(st, t, pos)
+        return []
 
     def _fire_dtn(self, st: EmergencyState, t: float, pos: tuple[float, float],
                   stream: RandomStream) -> list[tuple]:
@@ -383,14 +378,15 @@ class LocateBehavior(_SourceMixin):
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
         if st.phase != DTN_FROZEN:
-            return acts  # dormant; freezing emits a fresh START_POLL
-        if distance(pos, st.freeze_pos) >= self.params.dtn_dist_m:
+            return acts  # dormant or solved; freezing emits a fresh START_POLL
+        left = self.params.dtn_dist_m - distance(pos, st.freeze_pos)
+        if left <= 0.0:  # exactly distance >= dtn_dist_m: a difference is 0 only for equals
             st.phase = DTN_ACTIVE
             st.freeze_pos = None
             self._arm_dtn(st, acts, t, st.dtn_remaining_s)
             st.dtn_remaining_s = -1.0
         else:
-            acts.append((START_POLL,))
+            acts.append((START_POLL, left))
         return acts
 
     # -- helpers ------------------------------------------------------------
@@ -402,7 +398,7 @@ class LocateBehavior(_SourceMixin):
         self._arm_dtn(st, acts, t,
                       stream.uniform(self.params.cw_min_s, self.params.cw_max_s))
         if self.dtn_optimized:
-            acts.append((START_POLL,))
+            acts.append((START_POLL, 0.0))  # dormant until the carrier freezes
 
     def _arm_dtn(self, st: EmergencyState, acts: list[tuple], t: float, delay: float) -> None:
         st.dtn_fire_at = t + delay
@@ -414,7 +410,7 @@ class LocateBehavior(_SourceMixin):
         st.dtn_remaining_s = max(st.dtn_fire_at - t, 0.0)
         st.freeze_pos = pos
         st.phase = DTN_FROZEN
-        acts.append((START_POLL,))
+        acts.append((START_POLL, self.params.dtn_dist_m))
 
 
 class FloodingBehavior(_SourceMixin):

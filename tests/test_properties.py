@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locatesim.experiments import PROTOCOLS, SOURCE_ID, ScenarioConfig, run_batches, run_once
+from locatesim.kernel import RandomStream
 from locatesim.protocol import E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              lora_profile)
+from locatesim.world import World
 
 configs = st.builds(
     lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
@@ -41,6 +43,8 @@ def test_trace_invariants(config):
     for rec in trace:
         tag, t, node = rec[:3]
         if tag == "aware":
+            # awareness is one-way: a node becomes aware once, and the source always is
+            assert node not in aware, f"node {node} became aware again at {t}"
             aware.add(node)
         elif tag == "phase":
             assert phase.get(node) != SOLVED, f"node {node} left SOLVED at {t}"
@@ -60,6 +64,21 @@ def test_trace_invariants(config):
     assert result.end_time_s == (config.horizon_s if settled_at is None else settled_at)
     assert result.ert_s == source_solved_at
     assert (result.ereq_count, result.erep_count) == (requests, replies)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.floats(10.0, 5000.0), st.integers(0, 2**31 - 1), st.integers(1, 8))
+def test_legs_stay_in_the_arena(n, side, seed, legs):
+    stream = RandomStream(seed)
+    world = World.random(n, 0.5, side, stream)
+    for rec in world.nodes[1:]:
+        for _ in range(legs):
+            leg = rec.leg
+            span = leg.end - leg.start
+            for t in [leg.start + span * k / 4.0 for k in range(4)] + [leg.end]:
+                x, y = world.position_at(rec.id, t)
+                assert 0.0 <= x <= side and 0.0 <= y <= side, (rec.id, t, x, y)
+            world.start_leg(rec.id, leg.end, stream)
 
 
 # a few runs each at horizons up to 10 min, so ten examples cost a few pool start-ups

@@ -7,7 +7,7 @@ import pytest
 from locatesim.kernel import RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
                                 DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD,
-                                SET_TIMER, SOLVED, START_POLL, STOP_POLL, TRANSMIT,
+                                SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                                 UNAWARE, EmergencyState, FloodingBehavior, LocateBehavior,
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
@@ -228,7 +228,6 @@ def test_solver_reply_fire_marks_solved():
     (msg,) = sent(acts)
     assert (msg.kind, msg.tx, msg.ttl) == (E_REP, st.node, 15)
     assert st.phase == SOLVED
-    assert STOP_POLL in ops(acts)
     assert st.cached_rep == msg
 
 
@@ -283,7 +282,7 @@ def test_forward_fire_relays_and_enters_carry_phase():
     assert st.stored_req.ttl == 15  # the relay spent one hop of its stored copy
     delays = timer_delays(acts)
     assert P.cw_min_s <= delays[DTN] < P.cw_max_s
-    assert START_POLL in ops(acts)
+    assert (START_POLL, 0.0) in acts  # dormant: polls nothing until the carrier freezes
 
 
 def test_guard_expiry_with_spent_copy_carries_silently():
@@ -411,7 +410,7 @@ def test_second_competitor_freezes_the_carrier():
     assert st.phase == DTN_FROZEN
     assert st.freeze_pos == pos
     assert st.dtn_remaining_s == pytest.approx(fire_at - 26.0)
-    assert START_POLL in ops(acts)
+    assert (START_POLL, P.dtn_dist_m) in acts  # the whole thaw distance is left
     cancelled = [a[1] for a in acts if a[0] == CANCEL_TIMER]
     assert DTN in cancelled
 
@@ -458,7 +457,7 @@ def test_freeze_poll_before_threshold_rearms():
     near = (pos[0] + P.dtn_dist_m - 0.1, pos[1])
     acts = b.on_freeze_poll(st, 27.0, near, RandomStream(10))
     assert st.phase == DTN_FROZEN
-    assert ops(acts) == [START_POLL]
+    assert acts == [(START_POLL, P.dtn_dist_m - (near[0] - pos[0]))]
 
 
 def test_thaw_resumes_with_residual_delay():
@@ -478,8 +477,18 @@ def test_thaw_resumes_with_residual_delay():
 
 def test_poll_is_dormant_outside_frozen_phase():
     b = locate()
-    st = dtn_carrier(b)
-    assert b.on_freeze_poll(st, 40.0, (2900.0, 2500.0), RandomStream(10)) == []
+    pos = (2900.0, 2500.0)
+    active = dtn_carrier(b)
+    # a frozen carrier that a reply then solves keeps its armed poll, which does nothing
+    solved = dtn_carrier(b)
+    b.on_delivery(solved, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
+    b.on_delivery(solved, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
+    assert solved.phase == DTN_FROZEN
+    b.on_delivery(solved, rep(ttl=14), 27.0, pos, RandomStream(10))
+    far = (pos[0] + P.dtn_dist_m, pos[1])
+    for st, phase in ((active, DTN_ACTIVE), (solved, SOLVED)):
+        assert b.on_freeze_poll(st, 40.0, far, RandomStream(11)) == []
+        assert st.phase == phase
 
 
 def test_basic_variant_never_tracks_competitors():
@@ -499,7 +508,6 @@ def test_reply_solves_and_relays_once_per_cooldown():
     pos = (2900.0, 2500.0)
     acts = b.on_delivery(st, rep(ttl=14, tx_pos=(3300.0, 2500.0)), 40.0, pos, RandomStream(8))
     assert st.phase == SOLVED
-    assert STOP_POLL in ops(acts)
     cancelled = {a[1] for a in acts if a[0] == CANCEL_TIMER}
     assert DTN in cancelled
     (slot, delay), = timer_delays(acts).items()
