@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (PROTOCOLS, SWEEP_AXES, Aggregate, RunResult, ScenarioConfig,
-                          SweepRow, run_batch, sweep, sweep_points)
+                          SweepRow, requested_threads, run_batch, sweep, sweep_points)
 from .protocol import (ProtocolParams, acceptance_window, distance_bias,
                        dtn_forward_probability, forwarding_window)
 from .radio import lora_profile, wifi_profile
@@ -340,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
                 sweep_points(config, axis, values, names or None)
             except ValueError as exc:
                 raise ConfigError(f"sweep_values: {exc}") from exc
+        try:
+            requested_threads()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         out_dir = settings.get("out", ".")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -257,18 +257,23 @@ def _run_indexed(args: tuple[ScenarioConfig, int]) -> RunResult:
     return run_once(args[0], args[1])
 
 
+def requested_threads() -> int:
+    """The LOCATE_SIM_THREADS cap, 0 when unset; ValueError unless a non-negative integer."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return 0
+    try:
+        requested = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
+    if requested < 0:
+        raise ValueError(f"{THREADS_ENV} must be non-negative, got {requested}")
+    return requested
+
+
 def worker_count(runs: int) -> int:
     """Worker pool size: LOCATE_SIM_THREADS caps it, 0 or unset means auto."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if requested < 0:
-            raise ValueError(f"{THREADS_ENV} must be non-negative, got {requested}")
-    else:
-        requested = 0
+    requested = requested_threads()
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, runs))

@@ -71,10 +71,11 @@ class EventQueue:
 class RandomStream:
     """Seeded pseudo-random source; the draw sequence depends only on seed and call order."""
 
-    __slots__ = ("_rng",)
+    __slots__ = ("_rng", "_random")
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
+        self._random = self._rng.random  # bound once for the hot uniform and bernoulli
 
     def uniform(self, lo: float, hi: float) -> float:
         """Draw from [lo, hi); returns lo when the interval is degenerate."""
@@ -82,14 +83,14 @@ class RandomStream:
             raise ValueError(f"uniform bounds out of order: [{lo}, {hi})")
         if lo == hi:
             return lo
-        u = lo + (hi - lo) * self._rng.random()
+        u = lo + (hi - lo) * self._random()
         # guard the half-open upper bound against rounding
         return u if u < hi else math.nextafter(hi, lo)
 
     def bernoulli(self, p: float) -> bool:
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"bernoulli probability {p} outside [0, 1]")
-        return self._rng.random() < p
+        return self._random() < p
 
     def sample(self, population, k: int) -> list:
         return self._rng.sample(population, k)

@@ -234,6 +234,7 @@ class LocateBehavior(_SourceMixin):
     def __init__(self, params: ProtocolParams, dtn_optimized: bool = True) -> None:
         self.params = params
         self.dtn_optimized = dtn_optimized
+        self._carry_p: dict[int, float] = {}  # dtn_forward_probability per overheard count
 
     # -- deliveries ---------------------------------------------------------
 
@@ -361,7 +362,10 @@ class LocateBehavior(_SourceMixin):
         acts: list[tuple] = []
         p = 1.0
         if self.dtn_optimized:
-            p = dtn_forward_probability(self.params.p_start, len(st.overheard))
+            heard = len(st.overheard)
+            p = self._carry_p.get(heard)
+            if p is None:
+                p = self._carry_p[heard] = dtn_forward_probability(self.params.p_start, heard)
         if stream.bernoulli(p) and st.stored_req.ttl >= 1:
             # each rebroadcast is a relay: it spends hop budget like any other
             st.stored_req = _relayed(st, st.stored_req, pos)

@@ -55,9 +55,11 @@ class _Index:
     spans more than a few cells. A coordinate u falls in column (or row)
     int(u * inv), clamped into [0, cols - 1]. That map never decreases in u,
     so every coordinate in [lo, hi] falls between the columns of lo and hi.
+    `boxes` memoises the sorted ids of each box of cells queried so far; cells
+    never change within a build, so an entry lives exactly as long as the index.
     """
 
-    __slots__ = ("t0", "reach", "cell", "inv", "cols", "vmax", "cells")
+    __slots__ = ("t0", "reach", "cell", "inv", "cols", "vmax", "cells", "boxes")
 
     def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
         self.t0 = t0
@@ -72,15 +74,13 @@ class _Index:
             leg = rec.leg
             x = leg.x0
             y = leg.y0
-            if leg.speed != 0.0:  # as in position_at, less the clamp
-                vx = leg.vx
-                vy = leg.vy
+            speed = leg.speed
+            if speed != 0.0:  # as in position_at, less the clamp
                 dt = t0 - leg.start
-                x += vx * dt
-                y += vy * dt
-                v = max(abs(vx), abs(vy))
-                if v > vmax:
-                    vmax = v
+                x += leg.vx * dt
+                y += leg.vy * dt
+                if speed > vmax:
+                    vmax = speed
             # nodes placed off the arena by hand, or rounded past its edge, go to edge cells
             ix = int(x * inv)
             if ix < 0:
@@ -98,8 +98,25 @@ class _Index:
                 cells[key] = [rec.id]
             else:
                 ids.append(rec.id)
-        self.vmax = vmax  # fastest per-axis speed now; start_leg never draws a faster one
+        # fastest leg now, which bounds either axis speed; start_leg never draws a faster one
+        self.vmax = vmax
         self.cells = cells
+        self.boxes: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+
+    def scan(self, i0: int, i1: int, j0: int, j1: int) -> tuple[int, ...]:
+        """Ids, ascending, in the cells of columns i0..i1 and rows j0..j1."""
+        cols = self.cols
+        cells = self.cells
+        xs = range(i0, i1 + 1)
+        out: list[int] = []
+        for j in range(j0, j1 + 1):
+            row = j * cols
+            for i in xs:
+                ids = cells.get(row + i)
+                if ids is not None:
+                    out += ids
+        out.sort()
+        return tuple(out)
 
 
 def solver_count(n: int, tau: float) -> int:
@@ -166,7 +183,7 @@ class World:
             y = side
         return x, y
 
-    def near(self, x: float, y: float, t: float, reach: float) -> list[int]:
+    def near(self, x: float, y: float, t: float, reach: float) -> tuple[int, ...]:
         """Ids, ascending, of every node that may lie within `reach` of (x, y) at time t.
 
         A superset: it holds each node whose x and y both lie within `reach`
@@ -175,7 +192,9 @@ class World:
         reach at t was within reach + vmax * (t - t0) of the point at t0. The
         index is rebuilt when t < t0, when that drift passes one cell, or for
         another reach. Legs change only through `start_leg`, which keeps it
-        valid; after setting a leg by hand, call `forget_index`.
+        valid; after setting a leg by hand, call `forget_index`. The ids of a
+        box of cells are gathered once per build and shared by every query
+        that clamps to the same box.
         """
         idx = self._index
         if idx is None or t < idx.t0 or reach != idx.reach \
@@ -183,25 +202,19 @@ class World:
             idx = self._index = _Index(self.nodes, self.side, t, reach)
         r = reach + idx.vmax * (t - idx.t0) + DRIFT_MARGIN
         inv = idx.inv
-        cols = idx.cols
-        last = cols - 1
+        last = idx.cols - 1
         i0 = int((x - r) * inv)
         i1 = int((x + r) * inv)
         j0 = int((y - r) * inv)
         j1 = int((y + r) * inv)
-        xs = range(0 if i0 < 0 else last if i0 > last else i0,
-                   (0 if i1 < 0 else last if i1 > last else i1) + 1)
-        cells = idx.cells
-        out: list[int] = []
-        for j in range(0 if j0 < 0 else last if j0 > last else j0,
-                       (0 if j1 < 0 else last if j1 > last else j1) + 1):
-            row = j * cols
-            for i in xs:
-                ids = cells.get(row + i)
-                if ids is not None:
-                    out += ids
-        out.sort()
-        return out
+        box = (0 if i0 < 0 else last if i0 > last else i0,
+               0 if i1 < 0 else last if i1 > last else i1,
+               0 if j0 < 0 else last if j0 > last else j0,
+               0 if j1 < 0 else last if j1 > last else j1)
+        ids = idx.boxes.get(box)
+        if ids is None:
+            ids = idx.boxes[box] = idx.scan(*box)
+        return ids
 
     def forget_index(self) -> None:
         """Drop the position index, so legs set by hand are seen by the next `near`."""

@@ -313,6 +313,23 @@ def test_main_bad_sweep_value_exits_2_before_simulating(axis, values, message, t
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("threads", ["many", "-2"])
+@pytest.mark.parametrize("command", [
+    RUN_ARGS,
+    ["sweep", "--n", "5", "--tau", "0.2", "--runs", "1", "--horizon", "100",
+     "--axis", "tau", "--values", "0.1,0.3"],
+])
+def test_main_bad_thread_count_exits_2_before_simulating(command, threads, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setenv("LOCATE_SIM_THREADS", threads)
+    out_dir = tmp_path / "out"
+    assert main(command + ["--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LOCATE_SIM_THREADS ") and threads in err
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 def test_main_unwritable_output_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -148,27 +148,76 @@ def scan_cases(draw):
     age = profile.range_m / vmax
     k = draw(st.integers(1, 20))
     steps = draw(st.lists(st.floats(-0.5, 1.5).map(lambda f: f * age), min_size=k, max_size=k))
-    return world, legs, profile, steps
+    # after each step, the source beacons again at these fractions of the build's age
+    beats = draw(st.lists(st.lists(st.floats(0.0, 1.0), max_size=4), min_size=k, max_size=k))
+    return world, legs, profile, steps, beats
+
+
+def _advance(world: World, legs: RandomStream, t: float) -> float:
+    """Begin new legs up to t as the run loop does; t, or the latest leg start if later."""
+    for rec in world.nodes:
+        while not rec.stationary and rec.leg.end < t:
+            world.start_leg(rec.id, rec.leg.end, legs)
+    # a query may go back in time, but not before any node's current leg
+    return max([t] + [rec.leg.start for rec in world.nodes if not rec.stationary])
+
+
+def _scan_without_memo(world: World, x: float, y: float, t: float, reach: float):
+    """What `World.near` returns from the current index with its box memo emptied."""
+    idx = world._index
+    saved, idx.boxes = idx.boxes, {}
+    ids = world.near(x, y, t, reach)
+    assert world._index is idx  # the same build, so the same box
+    idx.boxes = saved
+    return ids
+
+
+def _check_broadcast(world, tx_node, t, profile, stream, twin):
+    x, y = world.position_at(tx_node, t)
+    near = world.near(x, y, t, profile.range_m)
+    assert near == _scan_without_memo(world, x, y, t, profile.range_m), (tx_node, t)
+    assert broadcast(world, tx_node, t, profile, stream) == \
+        _brute_force(world, tx_node, t, profile, twin), (tx_node, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scan_cases(), st.integers(0, 2**31 - 1))
 def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
-    world, legs, profile, steps = case
+    world, legs, profile, steps, beats = case
     stream = RandomStream(seed)
     twin = RandomStream(seed)
     t = 0.0
-    for step in steps:
-        t = max(t + step, 0.0)
-        for rec in world.nodes:  # begin new legs as the run loop does
-            while not rec.stationary and rec.leg.end < t:
-                world.start_leg(rec.id, rec.leg.end, legs)
-        # a query may go back in time, but not before any node's current leg
-        t = max([t] + [rec.leg.start for rec in world.nodes if not rec.stationary])
+    for step, fractions in zip(steps, beats):
+        t = _advance(world, legs, max(t + step, 0.0))
         for tx_node in range(len(world.nodes)):
-            assert broadcast(world, tx_node, t, profile, stream) == \
-                _brute_force(world, tx_node, t, profile, twin), (tx_node, t)
+            for _ in range(2):  # the repeat at the same t reads the memo
+                _check_broadcast(world, tx_node, t, profile, stream, twin)
+        # the static source, at later times the same build can serve
+        idx = world._index
+        for f in fractions:
+            beat = _advance(world, legs, max(t, idx.t0 + f * idx.cell / idx.vmax))
+            _check_broadcast(world, 0, beat, profile, stream, twin)
         assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)
+
+
+def test_near_memo_is_dropped_with_the_index():
+    # 100 m cells; node 1 stands 50 m east of the query point, node 2 800 m east
+    world = static_world(5000.0, [(2500.0, 2500.0), (2550.0, 2500.0, Role.RELAY),
+                                  (3300.0, 2500.0, Role.RELAY)])
+    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0, 1)
+    # a leg set by hand is seen once the index is forgotten
+    world.nodes[1].leg = still_leg(4000.0, 2500.0)
+    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0, 1)  # stale until forgotten
+    world.forget_index()
+    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0,)
+    # a new reach clamps a query from the origin to the same box numbers, in wider cells
+    assert world.near(50.0, 50.0, 0.0, 100.0) == ()
+    assert world.near(50.0, 50.0, 0.0, 2600.0) == (0, 1, 2)
+    # a step back in time rebuilds from the positions then
+    walker = walking(static_world(5000.0, [(0.0, 0.0), (100.0, 2500.0, Role.RELAY)]), 1, 20.0)
+    assert walker.near(2100.0, 2500.0, 100.0, 100.0) == (1,)
+    assert walker.near(2100.0, 2500.0, 50.0, 100.0) == ()
+    assert walker.near(1100.0, 2500.0, 50.0, 100.0) == (1,)
 
 
 def _survivors(receptions: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
