@@ -116,6 +116,15 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     the same float as with every tick popped. A node keeps at most one poll in
     the queue: one still armed is reused, and a solved carrier's leftover poll
     pops and does nothing.
+
+    A broadcast that reaches anyone is one DELIVERY event at t + airtime,
+    holding the message and the receivers in `broadcast`'s order; the loop
+    hands each receiver its copy in that order and stops in the middle when
+    the last waiting node is solved. This is exactly one event per copy: such
+    copies would share the time and take consecutive insertion numbers, so
+    nothing could pop between them, an event scheduled while they are handled
+    (a zero-delay reply) pops after all of them, and the quiescence check
+    cannot fire between them while their copies count as in flight.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -161,12 +170,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     erep_count += 1
                 if trace is not None:
                     trace.append(("tx", t, node, msg.kind, msg.ttl))
-                end = t + airtime
-                for receiver in broadcast(world, node, t, profile, stream):
-                    in_flight += 1
-                    queue.schedule(end, DELIVERY, receiver, msg)
+                receivers = broadcast(world, node, t, profile, stream)
+                if receivers:
+                    end = t + airtime
+                    in_flight += len(receivers)
+                    queue.schedule(end, DELIVERY, node, (msg, receivers))
                     if collision:
-                        busy.setdefault(receiver, []).append((t, end))
+                        for receiver in receivers:
+                            busy.setdefault(receiver, []).append((t, end))
             elif op == SET_TIMER:
                 st.live[act[1]] = queue.schedule(t + act[2], TIMER, node, act[1])
             elif op == CANCEL_TIMER:
@@ -218,20 +229,31 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         kind = ev.kind
         node = ev.node
         if kind == DELIVERY:
-            in_flight -= 1
-            msg = ev.data
-            if collision and collided(busy[node], t - airtime, t):
+            # the broadcast's receivers in its order, each handled as if it had its own event
+            msg, receivers = ev.data
+            for node in receivers:
+                in_flight -= 1
+                if collision and collided(busy[node], t - airtime, t):
+                    continue
+                if msg.kind == E_REQ:
+                    if node not in aware:
+                        aware.add(node)
+                        waiting.add(node)  # dropped again below if the node is already solved
+                        if trace is not None:
+                            trace.append(("aware", t, node))
+                elif node == SOURCE_ID and ert is None:
+                    ert = t
+                st = state_of(node)
+                interpret(st, behavior.on_delivery(st, msg, t, world.position_at(node, t), stream), t)
+                if trace is not None and st.phase != phase_seen.get(node):
+                    phase_seen[node] = st.phase
+                    trace.append(("phase", t, node, st.phase))
+                if not waiting:
+                    break
+            else:
                 continue
-            if msg.kind == E_REQ:
-                if node not in aware:
-                    aware.add(node)
-                    waiting.add(node)  # dropped again below if the node is already solved
-                    if trace is not None:
-                        trace.append(("aware", t, node))
-            elif node == SOURCE_ID and ert is None:
-                ert = t
-            st = state_of(node)
-            interpret(st, behavior.on_delivery(st, msg, t, world.position_at(node, t), stream), t)
+            end_time = t  # everyone who heard of the emergency is done, including the source
+            break
         elif kind == TIMER:
             st = state_of(node)
             interpret(st, behavior.on_timer(st, ev.data, t, world.position_at(node, t), stream), t)
@@ -247,7 +269,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             phase_seen[node] = st.phase
             trace.append(("phase", t, node, st.phase))
         if not waiting:
-            end_time = t  # everyone who heard of the emergency is done, including the source
+            end_time = t
             break
 
     return RunResult(run_index, seed, ert is not None, ert, ereq_count, erep_count, end_time)

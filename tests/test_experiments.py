@@ -9,7 +9,8 @@ from locatesim import experiments
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_batches, run_once, sweep,
                                    sweep_points, worker_count)
-from locatesim.protocol import DTN_ACTIVE, DTN_FROZEN, E_REQ, SOLVED, LocateBehavior, ProtocolParams
+from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, LocateBehavior,
+                               ProtocolParams)
 from locatesim.radio import lora_profile
 from locatesim.world import Role
 from topologies import line_world, pair_world, static_world, walking
@@ -353,6 +354,37 @@ def test_a_reused_world_is_reindexed_for_each_run():
     trace = []
     run_once(dataclasses.replace(cfg, horizon_s=60.0), 0, world=world, trace=trace)
     assert [e[2] for e in trace if e[0] == "aware"] == [1]
+
+
+def test_copies_of_one_broadcast_are_handled_before_a_zero_delay_reply():
+    # a solver standing on the source has a zero-width reply window, so its reply
+    # fires at the very time the beacon lands; the two relays hearing the same
+    # beacon log their copies first, as with one event per copy
+    world = static_world(2500.0, [(1250.0, 1250.0), (1250.0, 1250.0, Role.SOLVER),
+                                  (1350.0, 1250.0, Role.RELAY), (1450.0, 1250.0, Role.RELAY)])
+    trace = []
+    run_once(small(n=3, runs=1), 0, world=world, trace=trace)
+    at_landing = [e[:4] for e in trace if e[1] == 0.4]
+    reply = at_landing.index(("tx", 0.4, 1, E_REP))
+    for node in (2, 3):
+        assert at_landing.index(("aware", 0.4, node)) < reply
+        assert [e[:3] for e in at_landing].index(("phase", 0.4, node)) < reply
+
+
+def test_a_run_stops_inside_a_broadcast_once_nobody_waits():
+    # the solver's reply reaches the source and a node 700 m east of it that never
+    # heard the request; the source's copy solves the last waiting node, so the
+    # run ends there and the other copy is never handled
+    world = static_world(2500.0, [(1250.0, 1250.0), (1550.0, 1250.0, Role.SOLVER),
+                                  (1950.0, 1250.0, Role.RELAY)])
+    trace = []
+    res = run_once(small(n=2, runs=1), 0, world=world, trace=trace)
+    reply = [e for e in trace if e[0] == "tx" and e[3] == E_REP]
+    assert [e[2] for e in reply] == [1]
+    assert res.solved and res.ert_s == reply[0][1] + lora_profile().airtime_s
+    assert res.end_time_s == res.ert_s
+    assert res.erep_count == 1
+    assert all(e[2] != 2 for e in trace)
 
 
 def _spur_world():

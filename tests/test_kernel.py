@@ -22,6 +22,19 @@ def test_equal_times_pop_in_insertion_order():
     assert [q.pop().node for _ in range(4)] == [5, 1, 9, 3]
 
 
+def test_an_event_scheduled_at_the_current_time_pops_after_the_pending_ties():
+    # the run loop hands a broadcast's receivers their copies from one event; that
+    # equals one event per copy only because a same-time event scheduled while the
+    # copies are handled pops after every copy
+    q = EventQueue()
+    q.schedule(7.0, DELIVERY, 1)
+    q.schedule(7.0, DELIVERY, 2)
+    assert q.pop().node == 1
+    assert q.now == 7.0
+    q.schedule(7.0, TIMER, 3)
+    assert [q.pop().node for _ in range(2)] == [2, 3]
+
+
 def test_pop_returns_event_tuple_and_advances_clock():
     q = EventQueue()
     q.schedule(2.5, LEG_END, 4, "payload")
