@@ -123,8 +123,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     the last waiting node is solved. This is exactly one event per copy: such
     copies would share the time and take consecutive insertion numbers, so
     nothing could pop between them, an event scheduled while they are handled
-    (a zero-delay reply) pops after all of them, and the quiescence check
-    cannot fire between them while their copies count as in flight.
+    (a zero-delay reply) pops after all of them, and the quiescence check is
+    made only between events.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -139,6 +139,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     horizon = config.horizon_s
 
     queue = EventQueue()
+    # bound once per run, after any wrapper a caller has put on the classes
+    schedule = queue.schedule
+    peek = queue.peek
+    pop = queue.pop
+    position_at = world.position_at
+    on_delivery = behavior.on_delivery
+    on_timer = behavior.on_timer
+    on_freeze_poll = behavior.on_freeze_poll
     states: dict[int, EmergencyState] = {}
     polls: set[int] = set()  # nodes with a freeze poll in the queue
     busy: dict[int, list[tuple[float, float]]] = {}
@@ -162,7 +170,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         node = st.node
         for act in acts:
             op = act[0]
-            if op == TRANSMIT:
+            if op == SET_TIMER:  # the commonest action
+                st.live[act[1]] = schedule(t + act[2], TIMER, node, act[1])
+            elif op == TRANSMIT:
                 msg = act[1]
                 if msg.kind == E_REQ:
                     ereq_count += 1
@@ -174,12 +184,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                 if receivers:
                     end = t + airtime
                     in_flight += len(receivers)
-                    queue.schedule(end, DELIVERY, node, (msg, receivers))
+                    schedule(end, DELIVERY, node, (msg, receivers))
                     if collision:
                         for receiver in receivers:
                             busy.setdefault(receiver, []).append((t, end))
-            elif op == SET_TIMER:
-                st.live[act[1]] = queue.schedule(t + act[2], TIMER, node, act[1])
             elif op == CANCEL_TIMER:
                 queue.cancel(act[2])
             elif op == START_POLL:
@@ -190,7 +198,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     while (due - t) * vmax < slack and due <= horizon:
                         due += POLL_PERIOD_S
                     polls.add(node)
-                    queue.schedule(due, FREEZE_POLL, node, None)
+                    schedule(due, FREEZE_POLL, node, None)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")
         # handlers change only their own node, so only its flags can have moved
@@ -205,10 +213,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     for rec in world.nodes:
         if not rec.stationary:
             mobile = True
-            queue.schedule(rec.leg.end, LEG_END, rec.id, None)
+            schedule(rec.leg.end, LEG_END, rec.id, None)
 
     src = state_of(SOURCE_ID)
-    interpret(src, behavior.start_emergency(src, 0.0, world.position_at(SOURCE_ID, 0.0), stream), 0.0)
+    interpret(src, behavior.start_emergency(src, 0.0, position_at(SOURCE_ID, 0.0), stream), 0.0)
 
     phase_seen: dict[int, int] = {}
     end_time = 0.0
@@ -217,25 +225,27 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             # quiescent: leg ends alone would carry a mobile world to the horizon
             end_time = horizon if mobile else queue.now
             break
-        t_next = queue.peek()
+        t_next = peek()
         if t_next is None:  # a drained queue is quiescent, so this only guards the pop
             end_time = queue.now
             break
         if t_next > horizon:
             end_time = horizon
             break
-        ev = queue.pop()
+        ev = pop()
         t = ev.time
         kind = ev.kind
         node = ev.node
         if kind == DELIVERY:
             # the broadcast's receivers in its order, each handled as if it had its own event
             msg, receivers = ev.data
+            in_flight -= len(receivers)  # read only at the loop top, after the walk
+            request = msg.kind == E_REQ
+            sent = t - airtime
             for node in receivers:
-                in_flight -= 1
-                if collision and collided(busy[node], t - airtime, t):
+                if collision and collided(busy[node], sent, t):
                     continue
-                if msg.kind == E_REQ:
+                if request:
                     if node not in aware:
                         aware.add(node)
                         waiting.add(node)  # dropped again below if the node is already solved
@@ -243,8 +253,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                             trace.append(("aware", t, node))
                 elif node == SOURCE_ID and ert is None:
                     ert = t
-                st = state_of(node)
-                interpret(st, behavior.on_delivery(st, msg, t, world.position_at(node, t), stream), t)
+                st = states.get(node) or state_of(node)
+                interpret(st, on_delivery(st, msg, t, position_at(node, t), stream), t)
                 if trace is not None and st.phase != phase_seen.get(node):
                     phase_seen[node] = st.phase
                     trace.append(("phase", t, node, st.phase))
@@ -255,16 +265,16 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             end_time = t  # everyone who heard of the emergency is done, including the source
             break
         elif kind == TIMER:
-            st = state_of(node)
-            interpret(st, behavior.on_timer(st, ev.data, t, world.position_at(node, t), stream), t)
+            st = states.get(node) or state_of(node)
+            interpret(st, on_timer(st, ev.data, t, position_at(node, t), stream), t)
         elif kind == LEG_END:
             leg = world.start_leg(node, t, stream)
-            queue.schedule(leg.end, LEG_END, node, None)
+            schedule(leg.end, LEG_END, node, None)
             continue
         else:  # FREEZE_POLL
             polls.discard(node)
-            st = state_of(node)
-            interpret(st, behavior.on_freeze_poll(st, t, world.position_at(node, t), stream), t)
+            st = states.get(node) or state_of(node)
+            interpret(st, on_freeze_poll(st, t, position_at(node, t), stream), t)
         if trace is not None and st.phase != phase_seen.get(node):
             phase_seen[node] = st.phase
             trace.append(("phase", t, node, st.phase))

@@ -23,6 +23,9 @@ class Event(NamedTuple):
     data: Any
 
 
+_new_tuple = tuple.__new__
+
+
 class EventQueue:
     """Min-heap of events ordered by (time, insertion sequence), with tombstone cancellation.
 
@@ -64,7 +67,8 @@ class EventQueue:
             time, _seq, kind, node, data = heapq.heappop(heap)
             if kind != _CANCELLED:
                 self.now = time
-                return Event(time, kind, node, data)
+                # the same Event, built in C: the NamedTuple's own __new__ is a Python function
+                return _new_tuple(Event, (time, kind, node, data))
         return None
 
 

@@ -73,16 +73,21 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     order, and only for nodes whose delivery ratio is strictly between 0 and
     1, so the unit-disk model consumes no randomness.
     """
-    tx_pos = world.position_at(tx_node, t)
+    position_at = world.position_at
+    tx_pos = position_at(tx_node, t)
     x, y = tx_pos
     reach = profile.range_m
+    neg = -reach
     out: list[int] = []
     for node in world.near(x, y, t, reach):
         if node == tx_node:
             continue
-        pos = world.position_at(node, t)
-        # exact pre-filter: the distance is at least each axis offset
-        if abs(pos[0] - x) > reach or abs(pos[1] - y) > reach:
+        pos = position_at(node, t)
+        # exact pre-filter: the distance is at least each axis offset, |dx| > reach
+        # exactly when dx > reach or dx < -reach
+        dx = pos[0] - x
+        dy = pos[1] - y
+        if dx > reach or dx < neg or dy > reach or dy < neg:
             continue
         d = distance(tx_pos, pos)
         if d > reach:

@@ -92,13 +92,8 @@ class _Index:
                 iy = 0
             elif iy > last:
                 iy = last
-            key = iy * cols + ix
-            ids = cells.get(key)
-            if ids is None:
-                cells[key] = [rec.id]
-            else:
-                ids.append(rec.id)
-        # fastest leg now, which bounds either axis speed; start_leg never draws a faster one
+            cells.setdefault(iy * cols + ix, []).append(rec.id)
+        # fastest leg now, which bounds either axis speed; _new_leg never draws a faster one
         self.vmax = vmax
         self.cells = cells
         self.boxes: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
@@ -128,8 +123,47 @@ def solver_count(n: int, tau: float) -> int:
     return math.floor(tau * n + 0.5)
 
 
-def _still_leg(x: float, y: float) -> MobilityLeg:
-    return MobilityLeg(x, y, 0.0, 0.0, 0.0, math.inf, 0.0, 0.0)
+def _new_leg(x: float, y: float, t: float, side: float, stream: RandomStream) -> MobilityLeg:
+    """A leg from (x, y) at time t: the one rule behind placement and every leg end.
+
+    Heading is drawn uniform on [0, 2*pi) and redrawn until it points
+    strictly into the arena; speed is drawn after the heading is accepted.
+    The leg ends exactly when the ray hits the boundary.
+    """
+    # pull near-edge endpoints onto the edge so the inward test is exact
+    if x < _SNAP:
+        x = 0.0
+    elif side - x < _SNAP:
+        x = side
+    if y < _SNAP:
+        y = 0.0
+    elif side - y < _SNAP:
+        y = side
+    while True:
+        heading = stream.uniform(0.0, 2.0 * math.pi)
+        cx = math.cos(heading)
+        cy = math.sin(heading)
+        if (x > 0.0 or cx > 0.0) and (x < side or cx < 0.0) \
+                and (y > 0.0 or cy > 0.0) and (y < side or cy < 0.0):
+            break
+    speed = stream.uniform(SPEED_MIN, SPEED_MAX)
+    vx = speed * cx
+    vy = speed * cy
+    hit = math.inf
+    if vx > 0.0:
+        hit = (side - x) / vx
+    elif vx < 0.0:
+        hit = -x / vx
+    # compares rather than min(): exactly the same value, without a builtin call per leg
+    if vy > 0.0:
+        h = (side - y) / vy
+        if h < hit:
+            hit = h
+    elif vy < 0.0:
+        h = -y / vy
+        if h < hit:
+            hit = h
+    return MobilityLeg(x, y, heading, speed, t, t + hit, vx, vy)
 
 
 class World:
@@ -148,18 +182,20 @@ class World:
     def random(cls, n: int, tau: float, side: float, stream: RandomStream) -> "World":
         """Source pinned at the center, n mobiles placed uniformly, solvers sampled by tau.
 
-        Draw order is fixed (positions, then solver ids, then initial legs) so a
-        seed fully determines the world.
+        Draw order is fixed (positions, then solver ids, then initial legs in id
+        order) so a seed fully determines the world.
         """
-        nodes = [NodeRecord(0, Role.SOURCE, True, _still_leg(side / 2.0, side / 2.0))]
+        c = side / 2.0
+        still = MobilityLeg(c, c, 0.0, 0.0, 0.0, math.inf, 0.0, 0.0)
+        # built first, so a bad side is rejected before any leg is drawn
+        world = cls([NodeRecord(0, Role.SOURCE, True, still)], side)
         positions = [(stream.uniform(0.0, side), stream.uniform(0.0, side)) for _ in range(n)]
         solver_ids = set(stream.sample(range(1, n + 1), solver_count(n, tau)))
+        nodes = world.nodes
+        solver, relay = Role.SOLVER, Role.RELAY  # once: enum members are slow to look up
         for i, (x, y) in enumerate(positions, start=1):
-            role = Role.SOLVER if i in solver_ids else Role.RELAY
-            nodes.append(NodeRecord(i, role, False, _still_leg(x, y)))
-        world = cls(nodes, side)
-        for rec in nodes[1:]:
-            world.start_leg(rec.id, 0.0, stream)
+            role = solver if i in solver_ids else relay
+            nodes.append(NodeRecord(i, role, False, _new_leg(x, y, 0.0, side, stream)))
         return world
 
     def position_at(self, node_id: int, t: float) -> tuple[float, float]:
@@ -221,45 +257,10 @@ class World:
         self._index = None
 
     def start_leg(self, node_id: int, t: float, stream: RandomStream) -> MobilityLeg:
-        """Begin a new leg at time t from the node's current position.
-
-        Heading is drawn uniform on [0, 2*pi) and redrawn until it points
-        strictly into the arena; speed is drawn after the heading is accepted.
-        The leg ends exactly when the ray hits the boundary.
-        """
+        """Begin a new leg at time t from the node's current position (see `_new_leg`)."""
         rec = self.nodes[node_id]
         if rec.stationary:
             raise ValueError(f"node {node_id} is stationary")
         x, y = self.position_at(node_id, t) if rec.leg.speed != 0.0 else (rec.leg.x0, rec.leg.y0)
-        side = self.side
-        # pull near-edge endpoints onto the edge so the inward test is exact
-        if x < _SNAP:
-            x = 0.0
-        elif side - x < _SNAP:
-            x = side
-        if y < _SNAP:
-            y = 0.0
-        elif side - y < _SNAP:
-            y = side
-        while True:
-            heading = stream.uniform(0.0, 2.0 * math.pi)
-            cx = math.cos(heading)
-            cy = math.sin(heading)
-            if (x > 0.0 or cx > 0.0) and (x < side or cx < 0.0) \
-                    and (y > 0.0 or cy > 0.0) and (y < side or cy < 0.0):
-                break
-        speed = stream.uniform(SPEED_MIN, SPEED_MAX)
-        vx = speed * cx
-        vy = speed * cy
-        hit = math.inf
-        if vx > 0.0:
-            hit = (side - x) / vx
-        elif vx < 0.0:
-            hit = -x / vx
-        if vy > 0.0:
-            hit = min(hit, (side - y) / vy)
-        elif vy < 0.0:
-            hit = min(hit, -y / vy)
-        leg = MobilityLeg(x, y, heading, speed, t, t + hit, vx, vy)
-        rec.leg = leg
+        leg = rec.leg = _new_leg(x, y, t, self.side, stream)
         return leg

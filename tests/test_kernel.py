@@ -40,6 +40,9 @@ def test_pop_returns_event_tuple_and_advances_clock():
     q.schedule(2.5, LEG_END, 4, "payload")
     ev = q.pop()
     assert ev == Event(2.5, LEG_END, 4, "payload")
+    # an Event, not just an equal tuple: the loop and the benchmark's tracer read its fields
+    assert type(ev) is Event
+    assert (ev.time, ev.kind, ev.node, ev.data) == (2.5, LEG_END, 4, "payload")
     assert q.now == 2.5
     assert q.pop() is None
 

@@ -107,6 +107,17 @@ def test_broadcast_with_a_range_shorter_than_the_index_margin():
     assert broadcast(world, 1, 7.0, profile, RandomStream(1)) == [0, 2]
 
 
+def test_broadcast_axis_bound_is_inclusive():
+    # nodes exactly range_m away along +x, -x, +y and -y hear it; one ulp further out, none does
+    profile = lora_profile()
+    c, r = 2500.0, profile.range_m
+    edge = [(c + r, c), (c - r, c), (c, c + r), (c, c - r)]
+    past = [(math.nextafter(c + r, math.inf), c), (math.nextafter(c - r, -math.inf), c),
+            (c, math.nextafter(c + r, math.inf)), (c, math.nextafter(c - r, -math.inf))]
+    world = static_world(5000.0, [(c, c)] + [(x, y, Role.RELAY) for x, y in edge + past])
+    assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == [1, 2, 3, 4]
+
+
 def _brute_force(world, tx_node, t, profile, stream):
     """Every node evaluated, in id order: what broadcast returns without its index."""
     tx_pos = world.position_at(tx_node, t)

@@ -53,6 +53,28 @@ def test_random_world_is_seed_deterministic():
             == (rb.role, rb.leg.x0, rb.leg.y0, rb.leg.heading, rb.leg.speed)
 
 
+@pytest.mark.parametrize("n, tau, side, seed", [(40, 0.15, 5000.0, 5), (12, 0.25, 30.0, 9),
+                                               (5, 0.2, 5000.0, 1), (0, 0.5, 100.0, 3)])
+def test_random_world_legs_equal_start_leg_on_a_still_world(n, tau, side, seed):
+    # placement and leg ends share one leg rule: World.random must draw what a
+    # still world of the same placement gets from start_leg, node by node in id order
+    stream = RandomStream(seed)
+    w = World.random(n, tau, side, stream)
+    twin = RandomStream(seed)
+    positions = [(twin.uniform(0.0, side), twin.uniform(0.0, side)) for _ in range(n)]
+    solver_ids = set(twin.sample(range(1, n + 1), solver_count(n, tau)))
+    nodes = [NodeRecord(0, Role.SOURCE, True, still_leg(side / 2.0, side / 2.0))]
+    for i, (x, y) in enumerate(positions, start=1):
+        role = Role.SOLVER if i in solver_ids else Role.RELAY
+        nodes.append(NodeRecord(i, role, False, still_leg(x, y)))
+    hand = World(nodes, side)
+    legs = [hand.start_leg(i, 0.0, twin) for i in range(1, n + 1)]
+    assert w.nodes == hand.nodes
+    assert [rec.leg for rec in w.nodes[1:]] == legs
+    assert [stream.uniform(0.0, 1.0) for _ in range(3)] \
+        == [twin.uniform(0.0, 1.0) for _ in range(3)]
+
+
 def test_position_advances_linearly():
     w = World(
         [NodeRecord(0, Role.RELAY, False, MobilityLeg(10.0, 20.0, 0.0, 2.0, 0.0, 100.0, 2.0, 0.0))],
@@ -125,3 +147,6 @@ def test_start_leg_rejects_stationary_nodes():
 def test_world_validates_side():
     with pytest.raises(ValueError):
         World([], 0.0)
+    # before any leg is drawn: on a zero side no heading points inward, so the draw never ends
+    with pytest.raises(ValueError, match="side"):
+        World.random(3, 0.5, 0.0, RandomStream(1))
