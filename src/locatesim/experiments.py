@@ -117,14 +117,20 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     the queue: one still armed is reused, and a solved carrier's leftover poll
     pops and does nothing.
 
-    A broadcast that reaches anyone is one DELIVERY event at t + airtime,
-    holding the message and the receivers in `broadcast`'s order; the loop
-    hands each receiver its copy in that order and stops in the middle when
-    the last waiting node is solved. This is exactly one event per copy: such
-    copies would share the time and take consecutive insertion numbers, so
-    nothing could pop between them, an event scheduled while they are handled
-    (a zero-delay reply) pops after all of them, and the quiescence check is
-    made only between events.
+    Every node an event reaches takes one path: a DELIVERY supplies its
+    receivers in `broadcast`'s order, a TIMER or FREEZE_POLL its own node (a
+    LEG_END only starts the next leg). Per node, a delivery drops a collided
+    copy and marks awareness or the source's first reply; then the state is
+    looked up, the handler called, its actions interpreted and a phase change
+    recorded, and the walk stops once no aware node is unsolved. Every exit
+    is tested at the loop top, between events.
+
+    A broadcast that reaches anyone is one DELIVERY event at t + airtime.
+    This is exactly one event per copy: such copies would share the time and
+    take consecutive insertion numbers, so nothing could pop between them, an
+    event scheduled while they are handled (a zero-delay reply) pops after
+    all of them, and the quiescence check, made only between events, counts
+    the DELIVERY events pending (`in_flight`).
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -152,18 +158,11 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     busy: dict[int, list[tuple[float, float]]] = {}
     aware = {SOURCE_ID}
     waiting = {SOURCE_ID}  # aware and not yet solved
-    in_flight = 0  # scheduled deliveries not yet popped
+    in_flight = 0  # DELIVERY events scheduled and not yet popped
     able: set[int] = set()  # nodes for which may_transmit holds
     ereq_count = 0
     erep_count = 0
     ert: float | None = None
-
-    def state_of(node: int) -> EmergencyState:
-        st = states.get(node)
-        if st is None:
-            st = EmergencyState(node, world.nodes[node].role == Role.SOLVER, node == SOURCE_ID)
-            states[node] = st
-        return st
 
     def interpret(st: EmergencyState, acts: list[tuple], t: float) -> None:
         nonlocal ereq_count, erep_count, in_flight
@@ -183,7 +182,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                 receivers = broadcast(world, node, t, profile, stream)
                 if receivers:
                     end = t + airtime
-                    in_flight += len(receivers)
+                    in_flight += 1
                     schedule(end, DELIVERY, node, (msg, receivers))
                     if collision:
                         for receiver in receivers:
@@ -215,12 +214,15 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             mobile = True
             schedule(rec.leg.end, LEG_END, rec.id, None)
 
-    src = state_of(SOURCE_ID)
+    src = states[SOURCE_ID] = EmergencyState(
+        SOURCE_ID, world.nodes[SOURCE_ID].role == Role.SOLVER, True)
     interpret(src, behavior.start_emergency(src, 0.0, position_at(SOURCE_ID, 0.0), stream), 0.0)
 
     phase_seen: dict[int, int] = {}
-    end_time = 0.0
     while True:
+        if not waiting:  # everyone who heard of the emergency is done, the source included
+            end_time = queue.now
+            break
         if not able and not in_flight:
             # quiescent: leg ends alone would carry a mobile world to the horizon
             end_time = horizon if mobile else queue.now
@@ -232,17 +234,23 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         if t_next > horizon:
             end_time = horizon
             break
-        ev = pop()
-        t = ev.time
-        kind = ev.kind
-        node = ev.node
-        if kind == DELIVERY:
-            # the broadcast's receivers in its order, each handled as if it had its own event
-            msg, receivers = ev.data
-            in_flight -= len(receivers)  # read only at the loop top, after the walk
+        t, kind, node, data = pop()
+        if kind == LEG_END:
+            leg = world.start_leg(node, t, stream)
+            schedule(leg.end, LEG_END, node, None)
+            continue
+        delivery = kind == DELIVERY
+        if delivery:
+            msg, nodes = data  # the receivers, in broadcast's order
+            in_flight -= 1
             request = msg.kind == E_REQ
             sent = t - airtime
-            for node in receivers:
+        else:
+            nodes = (node,)
+            if kind == FREEZE_POLL:
+                polls.discard(node)
+        for node in nodes:
+            if delivery:
                 if collision and collided(busy[node], sent, t):
                     continue
                 if request:
@@ -253,34 +261,23 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                             trace.append(("aware", t, node))
                 elif node == SOURCE_ID and ert is None:
                     ert = t
-                st = states.get(node) or state_of(node)
-                interpret(st, on_delivery(st, msg, t, position_at(node, t), stream), t)
-                if trace is not None and st.phase != phase_seen.get(node):
-                    phase_seen[node] = st.phase
-                    trace.append(("phase", t, node, st.phase))
-                if not waiting:
-                    break
+            st = states.get(node)
+            if st is None:
+                st = states[node] = EmergencyState(node, world.nodes[node].role == Role.SOLVER,
+                                                   node == SOURCE_ID)
+            pos = position_at(node, t)
+            if delivery:
+                acts = on_delivery(st, msg, t, pos, stream)
+            elif kind == TIMER:
+                acts = on_timer(st, data, t, pos, stream)
             else:
-                continue
-            end_time = t  # everyone who heard of the emergency is done, including the source
-            break
-        elif kind == TIMER:
-            st = states.get(node) or state_of(node)
-            interpret(st, on_timer(st, ev.data, t, position_at(node, t), stream), t)
-        elif kind == LEG_END:
-            leg = world.start_leg(node, t, stream)
-            schedule(leg.end, LEG_END, node, None)
-            continue
-        else:  # FREEZE_POLL
-            polls.discard(node)
-            st = states.get(node) or state_of(node)
-            interpret(st, on_freeze_poll(st, t, position_at(node, t), stream), t)
-        if trace is not None and st.phase != phase_seen.get(node):
-            phase_seen[node] = st.phase
-            trace.append(("phase", t, node, st.phase))
-        if not waiting:
-            end_time = t
-            break
+                acts = on_freeze_poll(st, t, pos, stream)
+            interpret(st, acts, t)
+            if trace is not None and st.phase != phase_seen.get(node):
+                phase_seen[node] = st.phase
+                trace.append(("phase", t, node, st.phase))
+            if not waiting:
+                break
 
     return RunResult(run_index, seed, ert is not None, ert, ereq_count, erep_count, end_time)
 
@@ -311,14 +308,12 @@ def worker_count(runs: int) -> int:
     return max(1, min(requested, runs))
 
 
-def run_batches(configs: list[ScenarioConfig], workers: int | None = None
-                ) -> list[tuple[list[RunResult], Aggregate]]:
+def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Aggregate]]:
     """All runs of every config on one pool: per config, in config order, its runs
     in run-index order plus their aggregate."""
     tasks = [(cfg, i) for cfg in configs for i in range(cfg.runs)]
-    if workers is None:
-        workers = worker_count(len(tasks))
-    if workers <= 1 or len(tasks) == 1:
+    workers = worker_count(len(tasks))
+    if workers <= 1:
         flat = [run_once(cfg, i) for cfg, i in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -334,9 +329,9 @@ def run_batches(configs: list[ScenarioConfig], workers: int | None = None
     return batches
 
 
-def run_batch(config: ScenarioConfig, workers: int | None = None) -> tuple[list[RunResult], Aggregate]:
+def run_batch(config: ScenarioConfig) -> tuple[list[RunResult], Aggregate]:
     """All runs of a config, in run-index order, plus their aggregate."""
-    return run_batches([config], workers)[0]
+    return run_batches([config])[0]
 
 
 def aggregate(results: list[RunResult], e_thr_s: float) -> Aggregate:

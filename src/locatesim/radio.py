@@ -101,10 +101,12 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
 def collided(intervals: list[tuple[float, float]], start: float, end: float) -> bool:
     """Whether the reception [start, end] overlaps another one at the same receiver.
 
-    `intervals` holds the receiver's (start, end) receptions, the one under
-    test included; overlap is inclusive at both ends. Called in delivery
-    order, it drops the entries that ended before `start`: every frame has the
-    same airtime, so no later reception can overlap them either.
+    `intervals` holds the receiver's receptions sent so far, the one under
+    test included; overlap is inclusive at both ends. A copy is judged as it
+    lands, and a frame starting at that instant (a zero-delay reply) is sent
+    after, so only that frame's own copy is dropped. Called in delivery
+    order, it drops the entries that ended before `start`: every frame has
+    the same airtime, so no later reception can overlap them either.
     """
     hits = 0
     keep = []

@@ -261,6 +261,6 @@ class World:
         rec = self.nodes[node_id]
         if rec.stationary:
             raise ValueError(f"node {node_id} is stationary")
-        x, y = self.position_at(node_id, t) if rec.leg.speed != 0.0 else (rec.leg.x0, rec.leg.y0)
+        x, y = self.position_at(node_id, t)
         leg = rec.leg = _new_leg(x, y, t, self.side, stream)
         return leg

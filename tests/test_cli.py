@@ -12,7 +12,7 @@ from locatesim.cli import (AGG_HEADER, KNOWN_KEYS, PARAM_KEYS, RADIO_KEYS, RUNS_
                            build_settings, format_real, main, parse_config_file,
                            plot_script, runs_csv_lines, scenario_from_settings,
                            selftest_report, sweep_plan, write_outputs)
-from locatesim.experiments import ScenarioConfig, SweepRow, run_batch
+from locatesim.experiments import THREADS_ENV, ScenarioConfig, SweepRow, run_batch
 from locatesim.protocol import ProtocolParams
 from locatesim.radio import RadioProfile, wifi_profile
 
@@ -156,15 +156,17 @@ def test_sweep_plan_parses_axis_values_and_protocols():
         sweep_plan({"sweep_axis": "tau", "sweep_values": "0.1", "protocols": "gossip"})
 
 
-def tiny_row():
+@pytest.fixture
+def tiny_row(monkeypatch):
     cfg = ScenarioConfig(n=3, tau=0.34, side_m=800.0, runs=2, base_seed=4,
                          horizon_s=300.0)
-    results, agg = run_batch(cfg, workers=1)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    results, agg = run_batch(cfg)
     return SweepRow("locate", cfg.n, cfg.tau, cfg.params.p_start, results, agg)
 
 
-def test_runs_csv_shape():
-    lines = runs_csv_lines([tiny_row()])
+def test_runs_csv_shape(tiny_row):
+    lines = runs_csv_lines([tiny_row])
     assert lines[0] == RUNS_HEADER
     assert len(lines) == 3
     for line, idx in zip(lines[1:], (0, 1)):
@@ -182,8 +184,8 @@ def test_runs_csv_shape():
         assert int(fields[7]) >= 1
 
 
-def test_aggregate_csv_shape():
-    lines = aggregate_csv_lines([tiny_row()])
+def test_aggregate_csv_shape(tiny_row):
+    lines = aggregate_csv_lines([tiny_row])
     assert lines[0] == AGG_HEADER
     fields = lines[1].split(",")
     assert len(fields) == 10
@@ -204,11 +206,10 @@ def test_plot_script_stanzas():
     assert "($6*100)" in script
 
 
-def test_write_outputs_emits_plot_only_for_sweeps(tmp_path):
-    row = tiny_row()
-    written = write_outputs(tmp_path / "a", [row])
+def test_write_outputs_emits_plot_only_for_sweeps(tmp_path, tiny_row):
+    written = write_outputs(tmp_path / "a", [tiny_row])
     assert [p.name for p in written] == ["runs.csv", "aggregate.csv"]
-    written = write_outputs(tmp_path / "b", [row], axis="tau")
+    written = write_outputs(tmp_path / "b", [tiny_row], axis="tau")
     assert [p.name for p in written] == ["runs.csv", "aggregate.csv", "plot.gp"]
 
 

@@ -76,15 +76,17 @@ def test_every_protocol_runs():
         assert res.ereq_count >= 1
 
 
-def test_batch_results_arrive_in_run_order():
-    results, agg = run_batch(small(), workers=1)
+def test_batch_results_arrive_in_run_order(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "1")
+    results, agg = run_batch(small())
     assert [r.run_index for r in results] == [0, 1, 2, 3]
     assert agg.runs_total == 4
 
 
 def test_worker_pool_matches_serial(monkeypatch):
     cfg = small(runs=6)
-    serial_results, serial_agg = run_batch(cfg, workers=1)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    serial_results, serial_agg = run_batch(cfg)
     monkeypatch.setenv(THREADS_ENV, "3")
     pool_results, pool_agg = run_batch(cfg)
     assert pool_results == serial_results
@@ -95,7 +97,8 @@ def test_run_batches_equals_run_batch_per_config(monkeypatch):
     configs = [small(runs=5), small(protocol="flooding", n=6, runs=1),
                small(protocol="probabilistic", tau=0.4, runs=3),
                small(protocol="locate-basic", n=14, tau=0.1, runs=2)]
-    serial = [run_batch(cfg, workers=1) for cfg in configs]
+    monkeypatch.setenv(THREADS_ENV, "1")
+    serial = [run_batch(cfg) for cfg in configs]
     monkeypatch.setenv(THREADS_ENV, "3")
     assert run_batches(configs) == serial
 
@@ -114,8 +117,9 @@ def test_sweep_starts_one_pool(monkeypatch):
     args = ("tau", [0.1, 0.2, 0.3], ["locate", "flooding"])
     rows = sweep(base, *args)
     assert len(started) == 1
+    monkeypatch.setenv(THREADS_ENV, "1")
     assert [(row.results, row.agg) for row in rows] \
-        == [run_batch(cfg, workers=1) for cfg in sweep_points(base, *args)]
+        == [run_batch(cfg) for cfg in sweep_points(base, *args)]
 
 
 def test_worker_count_env(monkeypatch):
@@ -434,9 +438,10 @@ def test_aggregate_single_and_empty_edge_cases():
         aggregate([], e_thr_s=1800.0)
 
 
-def test_dense_arena_always_resolves():
+def test_dense_arena_always_resolves(monkeypatch):
     # everything inside one radio range: the success ratio must be 1.0
-    _, agg = run_batch(small(n=6, tau=1.0, side_m=400.0, runs=5), workers=1)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    _, agg = run_batch(small(n=6, tau=1.0, side_m=400.0, runs=5))
     assert agg.err_pct == 1.0
     assert agg.ert_mean_s < 60.0
 

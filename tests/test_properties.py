@@ -1,16 +1,21 @@
 """Run-level invariants over generated small scenarios, read back from `trace=` lists."""
 
+import os
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locatesim.experiments import PROTOCOLS, SOURCE_ID, ScenarioConfig, run_batches, run_once
+from locatesim.experiments import (PROTOCOLS, SOURCE_ID, THREADS_ENV, ScenarioConfig,
+                                   run_batches, run_once)
 from locatesim.kernel import RandomStream
 from locatesim.protocol import E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              lora_profile)
-from locatesim.world import World
+from locatesim.world import Role, World, distance
+
+from topologies import static_world
 
 configs = st.builds(
     lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
@@ -89,4 +94,48 @@ batch_configs = st.builds(lambda cfg, runs, horizon_s: replace(cfg, runs=runs, h
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.lists(batch_configs, min_size=2, max_size=4))
 def test_pooled_batches_equal_serial(batch):
-    assert run_batches(batch, workers=2) == run_batches(batch, workers=1)
+    with mock.patch.dict(os.environ, {THREADS_ENV: "2"}):
+        pooled = run_batches(batch)
+    with mock.patch.dict(os.environ, {THREADS_ENV: "1"}):
+        serial = run_batches(batch)
+    assert pooled == serial
+
+
+# distinct spots, so no solver stands on a transmitter and replies with zero delay
+# at the very instant a copy lands (see radio.collided for that tie)
+coordinate = st.integers(0, 1000).map(float)
+collision_worlds = st.lists(
+    st.tuples(coordinate, coordinate, st.sampled_from((Role.SOLVER, Role.RELAY))),
+    min_size=2, max_size=5, unique_by=lambda spot: spot[:2])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(collision_worlds, st.sampled_from(PROTOCOLS), st.integers(0, 4), st.floats(0.4, 12.0),
+       st.integers(0, 2**31 - 1))
+def test_awareness_comes_from_the_first_copy_no_other_frame_overlaps(
+        spots, protocol, ttl_init, airtime, seed):
+    """Collisions end to end: from the `tx` entries alone, a node becomes aware when the
+    first request copy that no other frame it hears overlaps lands, and never without one."""
+    world = static_world(1000.0, spots)
+    radio = lora_profile(airtime_s=airtime, interference=INTERFERENCE_COLLISION)
+    config = ScenarioConfig(n=len(spots), protocol=protocol, side_m=1000.0, runs=1,
+                            base_seed=seed, horizon_s=3600.0, radio=radio,
+                            params=ProtocolParams(ttl_init=ttl_init))
+    trace: list = []
+    end = run_once(config, 0, world=world, trace=trace).end_time_s
+    sent = [(rec[1], rec[2], rec[3]) for rec in trace if rec[0] == "tx"]
+    aware = {rec[2]: rec[1] for rec in trace if rec[0] == "aware"}
+    for node in range(1, len(spots)):
+        heard = [(t, kind) for t, tx, kind in sent
+                 if tx != node and distance(spots[tx][:2], spots[node][:2]) <= radio.range_m]
+        first = None
+        for i, (t, kind) in enumerate(heard):
+            if kind == E_REQ and not any(abs(other - t) <= airtime
+                                         for j, (other, _) in enumerate(heard) if j != i):
+                first = t + airtime
+                break
+        # a copy landing exactly at the end may or may not be handed over before the stop
+        if first is not None and first < end:
+            assert aware.get(node) == first, (node, first, aware)
+        elif first is None or first > end:
+            assert node not in aware, (node, first, aware)
