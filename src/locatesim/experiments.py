@@ -17,7 +17,14 @@ from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
 
-PROTOCOLS = ("locate", "locate-basic", "flooding", "probabilistic")
+# protocol name -> factory of its behavior; the order is the CLI's
+_BEHAVIORS = {
+    "locate": lambda p: LocateBehavior(p, dtn_optimized=True),
+    "locate-basic": lambda p: LocateBehavior(p, dtn_optimized=False),
+    "flooding": lambda p: FloodingBehavior(p, relay_probability=None),
+    "probabilistic": lambda p: FloodingBehavior(p, relay_probability=p.q_flood),
+}
+PROTOCOLS = tuple(_BEHAVIORS)
 
 # movement check lattice while a carrier is frozen: ticks that cannot thaw it are skipped
 POLL_PERIOD_S = 1.0
@@ -54,8 +61,10 @@ class ScenarioConfig:
                 raise ValueError(f"{name} {value} must be finite")
         if self.horizon_s <= 0.0:
             raise ValueError(f"horizon {self.horizon_s} must be positive")
-        if self.side_m <= 0.0:
-            raise ValueError(f"arena side {self.side_m} must be positive")
+        # a leg lasts about side / speed: once that is below the clock's resolution, leg
+        # ends repeat at one time and the run never ends; 1 m is the grid's cell floor
+        if self.side_m < DRIFT_MARGIN:
+            raise ValueError(f"arena side {self.side_m} must be at least {DRIFT_MARGIN} m")
 
 
 @dataclass(slots=True)
@@ -80,21 +89,9 @@ class Aggregate:
     eo_ci95: float | None
 
 
-def make_behavior(name: str, params: ProtocolParams):
-    if name == "locate":
-        return LocateBehavior(params, dtn_optimized=True)
-    if name == "locate-basic":
-        return LocateBehavior(params, dtn_optimized=False)
-    if name == "flooding":
-        return FloodingBehavior(params, relay_probability=None)
-    if name == "probabilistic":
-        return FloodingBehavior(params, relay_probability=params.q_flood)
-    raise ValueError(f"unknown protocol {name!r}, expected one of {PROTOCOLS}")
-
-
 def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
              trace: list | None = None) -> RunResult:
-    """Simulate one emergency to resolution, quiescence, horizon, or queue exhaustion.
+    """Simulate one emergency to resolution, quiescence, or horizon.
 
     The per-run seed is base_seed XOR run_index. A caller-supplied world skips
     random placement (the seed then drives only protocol timing and losses).
@@ -138,7 +135,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         world = World.random(config.n, config.tau, config.side_m, stream)
     else:
         world.forget_index()  # its legs may have been set by hand since its last run
-    behavior = make_behavior(config.protocol, config.params)
+    behavior = _BEHAVIORS[config.protocol](config.params)
     profile = config.radio
     airtime = profile.airtime_s
     collision = profile.interference == INTERFERENCE_COLLISION
@@ -227,11 +224,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             # quiescent: leg ends alone would carry a mobile world to the horizon
             end_time = horizon if mobile else queue.now
             break
-        t_next = peek()
-        if t_next is None:  # a drained queue is quiescent, so this only guards the pop
-            end_time = queue.now
-            break
-        if t_next > horizon:
+        # never drained here: a node in `able` has a timer or poll queued, in_flight a DELIVERY
+        if peek() > horizon:
             end_time = horizon
             break
         t, kind, node, data = pop()

@@ -27,8 +27,6 @@ DTN_ACTIVE = 3  # periodic carry-and-forward rebroadcasts
 DTN_FROZEN = 4  # rebroadcasts paused until the node moves away
 SOLVED = 5  # absorbing
 
-PHASE_NAMES = ("unaware", "accepting", "forwarding", "dtn_active", "dtn_frozen", "solved")
-
 # timer slots (one live timer per slot per node and emergency)
 ACCEPT = "accept"  # reply contention, own or cached reply
 GUARD = "guard"  # acceptance round length before forwarding starts
@@ -160,7 +158,7 @@ class _SourceMixin:
 
     def _source_on_delivery(self, st: EmergencyState, msg: Message) -> list[tuple]:
         # the source ignores requests; the first reply ends its beaconing
-        if msg.kind != E_REP or st.phase == SOLVED:
+        if msg.kind != E_REP:
             return []
         acts: list[tuple] = []
         _become_solved(st, acts)
@@ -200,8 +198,7 @@ def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[
         st.cached_rep = rep
         st.erep_sent_at = t
         acts: list[tuple] = [(TRANSMIT, rep)]
-        if st.phase != SOLVED:
-            _become_solved(st, acts)
+        _become_solved(st, acts)
         return acts
     return _relay_cached_reply(st, t, pos)
 
@@ -217,6 +214,8 @@ def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) 
 
 def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
     """The absorbing transition: stop spreading and carrying the request (an armed poll pops idle)."""
+    if st.phase == SOLVED:
+        return
     st.phase = SOLVED
     for slot in (GUARD, FORWARD, DTN):
         _cancel(st, acts, slot)
@@ -249,8 +248,7 @@ class LocateBehavior(_SourceMixin):
     def _on_reply(self, st: EmergencyState, msg: Message, t: float,
                   pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
-        if st.phase != SOLVED:
-            _become_solved(st, acts)
+        _become_solved(st, acts)
         # someone already answered: drop any pending reply of our own
         _cancel(st, acts, ACCEPT)
         st.pending_reply_ttl = -1
@@ -447,8 +445,7 @@ class FloodingBehavior(_SourceMixin):
                   stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
         first = st.phase != SOLVED
-        if first:
-            _become_solved(st, acts)
+        _become_solved(st, acts)
         st.cached_rep = msg
         # SOLVED is absorbing, so only the first reply gets a relay decision
         if first and msg.ttl >= 1 and ACCEPT not in st.live and self._coin(stream):

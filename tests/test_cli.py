@@ -106,6 +106,13 @@ def test_scenario_rejects_bad_values():
         scenario_from_settings({**base, "tau": "1.5"})
     with pytest.raises(ConfigError):
         scenario_from_settings({**base, "cw_min": "30"})
+    with pytest.raises(ConfigError, match="arena side"):
+        scenario_from_settings({**base, "side": "0"})
+    with pytest.raises(ConfigError, match="thaw displacement"):
+        scenario_from_settings({**base, "dtn_dist": "0"})
+    for q in ("0", "1.5"):
+        with pytest.raises(ConfigError, match="q_flood"):
+            scenario_from_settings({**base, "q_flood": q})
 
 
 def test_every_config_field_has_a_key():
@@ -296,6 +303,23 @@ def test_main_negative_seed_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(RUN_ARGS + ["--seed", "-1", "--out", str(out_dir)]) == 2
     assert "seed -1 must be non-negative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_main_sub_metre_side_exits_2_before_simulating(tmp_path, monkeypatch, capsys):
+    # legs of a 1e-20 m arena end faster than the clock resolves, so a run would never end
+    def simulate(config):
+        raise AssertionError("simulated a config that should be rejected")
+
+    monkeypatch.setattr("locatesim.cli.run_batch", simulate)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("side = 1e-20\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--n", "2", "--tau", "0", "--runs", "1",
+                 "--horizon", "10", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: arena side 1e-20 ")
+    assert len(err.splitlines()) == 1
     assert not out_dir.exists()
 
 

@@ -39,6 +39,9 @@ def test_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 ScenarioConfig(**{field: bad})
+    for side in (0.0, 0.999, 1e-20):  # legs shorter than the clock resolves would never end
+        with pytest.raises(ValueError, match="arena side"):
+            ScenarioConfig(side_m=side)
 
 
 def test_static_solver_pair_resolves_within_one_window():

@@ -107,6 +107,17 @@ def test_broadcast_with_a_range_shorter_than_the_index_margin():
     assert broadcast(world, 1, 7.0, profile, RandomStream(1)) == [0, 2]
 
 
+def test_nodes_a_cell_below_the_arena_are_indexed_in_the_edge_cells():
+    # 1 m cells for a 5 cm radio; int() truncates toward zero, so a spot must lie a whole
+    # cell below 0 to fall in column and row -1, which the index clamps to 0
+    world = static_world(10.0, [(-0.98, -0.98), (-1.01, -1.01, Role.RELAY),
+                                (0.5, 0.5, Role.RELAY), (-1.5, 3.0, Role.RELAY)])
+    profile = RadioProfile(range_m=0.05)
+    assert world.near(-0.98, -0.98, 0.0, profile.range_m) == (0, 1, 2)
+    assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == \
+        _brute_force(world, 0, 0.0, profile, RandomStream(1)) == [1]
+
+
 def test_broadcast_axis_bound_is_inclusive():
     # nodes exactly range_m away along +x, -x, +y and -y hear it; one ulp further out, none does
     profile = lora_profile()
