@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field, replace
 
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
@@ -16,6 +15,16 @@ from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lo
 from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
+
+
+def __getattr__(name: str):
+    # the pool pulls in multiprocessing: load it with the first pooled batch, not at import
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # protocol name -> factory of its behavior; the order is the CLI's
 _BEHAVIORS = {
@@ -310,7 +319,9 @@ def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Ag
     if workers <= 1:
         flat = [run_once(cfg, i) for cfg, i in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # looked up through the module, so a class patched onto it (tests, tracers) is the one used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             # map keeps task order, so the results match a serial loop
             flat = list(pool.map(_run_indexed, tasks,
                                  chunksize=max(1, len(tasks) // (workers * 4))))
@@ -345,6 +356,7 @@ def aggregate(results: list[RunResult], e_thr_s: float) -> Aggregate:
 def _mean_ci(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
+    import statistics  # loaded with the first aggregate, not at import
     mean = statistics.fmean(values)
     if len(values) < 2:
         return mean, None

@@ -187,7 +187,7 @@ def _cancel(st: EmergencyState, acts: list[tuple], slot: str) -> None:
 
 def _relayed(st: EmergencyState, msg: Message, pos: tuple[float, float]) -> Message:
     """The copy this node rebroadcasts: every relay spends one hop of the budget."""
-    return msg._replace(tx=st.node, tx_pos=pos, ttl=msg.ttl - 1)
+    return Message(msg.kind, st.node, pos, msg.ttl - 1)
 
 
 def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:

@@ -2,6 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +128,51 @@ def test_sweep_starts_one_pool(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "1")
     assert [(row.results, row.agg) for row in rows] \
         == [run_batch(cfg) for cfg in sweep_points(base, *args)]
+
+
+SRC = str(Path(experiments.__file__).resolve().parent.parent)
+
+
+def run_fresh(script, threads):
+    """Run `script` in a new interpreter that imports locatesim from this checkout."""
+    env = {**os.environ, THREADS_ENV: str(threads)}
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n" + textwrap.dedent(script)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_serial_batches_leave_the_pool_and_statistics_unloaded():
+    run_fresh("""
+        import locatesim.cli
+        pool_modules = ("concurrent.futures.process", "multiprocessing")
+        loaded = [m for m in (*pool_modules, "statistics") if m in sys.modules]
+        assert not loaded, loaded
+        from locatesim import experiments
+        experiments.run_batch(experiments.ScenarioConfig(n=5, runs=2, horizon_s=600.0))
+        loaded = [m for m in pool_modules if m in sys.modules]
+        assert not loaded, loaded
+        import concurrent.futures
+        assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    """, threads=1)
+
+
+def test_pool_class_loads_on_first_pooled_batch():
+    with pytest.raises(AttributeError, match="locatesim.experiments"):
+        experiments.NoSuchName
+    assert not hasattr(experiments, "NoSuchName")
+    assert getattr(experiments, "NoSuchName", None) is None
+    run_fresh("""
+        import os
+        from locatesim import experiments
+        assert "ProcessPoolExecutor" not in vars(experiments)
+        configs = [experiments.ScenarioConfig(n=8, runs=3, base_seed=seed, horizon_s=900.0)
+                   for seed in (2, 3)]
+        pooled = experiments.run_batches(configs)
+        assert "ProcessPoolExecutor" in vars(experiments)
+        os.environ[experiments.THREADS_ENV] = "1"
+        assert pooled == experiments.run_batches(configs)
+    """, threads=2)
 
 
 def test_worker_count_env(monkeypatch):
