@@ -12,8 +12,8 @@ import math
 import sys
 from pathlib import Path
 
-from .experiments import (PROTOCOLS, SWEEP_AXES, Aggregate, RunResult, ScenarioConfig,
-                          SweepRow, requested_threads, run_batch, sweep, sweep_points)
+from .experiments import (PROTOCOLS, SWEEP_AXES, ScenarioConfig, SweepRow, sweep,
+                          sweep_points, worker_count)
 from .protocol import (ProtocolParams, acceptance_window, distance_bias,
                        dtn_forward_probability, forwarding_window)
 from .radio import lora_profile, wifi_profile
@@ -127,10 +127,8 @@ def scenario_from_settings(settings: dict[str, str]) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def sweep_plan(settings: dict[str, str]) -> tuple[str, list[float], list[str]]:
-    axis = settings.get("sweep_axis")
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep_axis: expected one of {SWEEP_AXES}, got {axis!r}")
+def sweep_plan(settings: dict[str, str]) -> tuple[str | None, list[float], list[str]]:
+    """Parse the sweep settings; `sweep_points` and `ScenarioConfig` check them."""
     raw_values = settings.get("sweep_values", "")
     try:
         values = [float(v) for v in raw_values.split(",") if v.strip()]
@@ -140,11 +138,7 @@ def sweep_plan(settings: dict[str, str]) -> tuple[str, list[float], list[str]]:
     if not values:
         raise ConfigError("missing required setting `sweep_values`")
     names = [p.strip() for p in settings.get("protocols", "").split(",") if p.strip()]
-    for name in names:
-        if name not in PROTOCOLS:
-            raise ConfigError(f"protocols: unknown protocol {name!r}, "
-                              f"expected one of {PROTOCOLS}")
-    return axis, values, names
+    return settings.get("sweep_axis"), values, names
 
 
 # -- output -----------------------------------------------------------------
@@ -331,31 +325,22 @@ def main(argv: list[str] | None = None) -> int:
         print("selftest:", "ok" if ok else "FAILED")
         return 0 if ok else 1
 
+    # every setting is checked before anything is simulated
     try:
         settings = build_settings(args)
         config = scenario_from_settings(settings)
-        if args.command == "sweep":
+        if args.command == "run":  # a one-point sweep
+            axis, points = None, [config]
+        else:
             axis, values, names = sweep_plan(settings)
-            try:
-                sweep_points(config, axis, values, names or None)
-            except ValueError as exc:
-                raise ConfigError(f"sweep_values: {exc}") from exc
-        try:
-            requested_threads()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            points = sweep_points(config, axis, values, names or None)
+        worker_count(sum(cfg.runs for cfg in points))
         out_dir = settings.get("out", ".")
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        results, agg = run_batch(config)
-        rows = [SweepRow(config.protocol, config.n, config.tau,
-                         config.params.p_start, results, agg)]
-        axis = None
-    else:
-        rows = sweep(config, axis, values, names or None)
+    rows = sweep(points)
 
     try:
         written = write_outputs(out_dir, rows, axis)

@@ -30,8 +30,8 @@ def __getattr__(name: str):
 _BEHAVIORS = {
     "locate": lambda p: LocateBehavior(p, dtn_optimized=True),
     "locate-basic": lambda p: LocateBehavior(p, dtn_optimized=False),
-    "flooding": lambda p: FloodingBehavior(p, relay_probability=None),
-    "probabilistic": lambda p: FloodingBehavior(p, relay_probability=p.q_flood),
+    "flooding": lambda p: FloodingBehavior(p, gated=False),
+    "probabilistic": lambda p: FloodingBehavior(p, gated=True),
 }
 PROTOCOLS = tuple(_BEHAVIORS)
 
@@ -74,6 +74,10 @@ class ScenarioConfig:
         # ends repeat at one time and the run never ends; 1 m is the grid's cell floor
         if self.side_m < DRIFT_MARGIN:
             raise ValueError(f"arena side {self.side_m} must be at least {DRIFT_MARGIN} m")
+        # a beacon period averages at least cw_max / 2: the source expects under ~2e6 beacons
+        if self.horizon_s > 1e6 * self.params.cw_max_s:
+            raise ValueError(f"horizon {self.horizon_s} s exceeds 1e6 contention windows "
+                             f"(cw_max {self.params.cw_max_s} s)")
 
 
 @dataclass(slots=True)
@@ -289,26 +293,17 @@ def _run_indexed(args: tuple[ScenarioConfig, int]) -> RunResult:
     return run_once(args[0], args[1])
 
 
-def requested_threads() -> int:
-    """The LOCATE_SIM_THREADS cap, 0 when unset; ValueError unless a non-negative integer."""
+def worker_count(runs: int) -> int:
+    """Worker pool size for `runs` runs: LOCATE_SIM_THREADS caps it, 0 or unset means one
+    per CPU. ValueError unless the variable is a non-negative integer."""
     raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 0
     try:
-        requested = int(raw)
+        requested = int(raw or 0)
     except ValueError as exc:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
     if requested < 0:
         raise ValueError(f"{THREADS_ENV} must be non-negative, got {requested}")
-    return requested
-
-
-def worker_count(runs: int) -> int:
-    """Worker pool size: LOCATE_SIM_THREADS caps it, 0 or unset means auto."""
-    requested = requested_threads()
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, runs))
+    return max(1, min(requested or os.cpu_count() or 1, runs))
 
 
 def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Aggregate]]:
@@ -391,15 +386,13 @@ def sweep_points(config: ScenarioConfig, axis: str, values: list[float],
             for name in protocols or [config.protocol] for value in values]
 
 
-def sweep(config: ScenarioConfig, axis: str, values: list[float],
-          protocols: list[str] | None = None) -> list[SweepRow]:
-    """A row per (protocol, axis value), every point's runs on one pool; all rows
-    share the base seed.
+def sweep(points: list[ScenarioConfig]) -> list[SweepRow]:
+    """A row per config of `points`, in order, every point's runs on one pool.
 
-    Sharing seeds gives every row the same sequence of worlds, so protocol
-    comparisons at a point are paired rather than independent.
+    `run` is the one-point sweep `[config]`; `sweep_points` builds an axis sweep's
+    points, which share the base seed. Sharing seeds gives every row the same sequence
+    of worlds, so protocol comparisons at a point are paired rather than independent.
     """
-    points = sweep_points(config, axis, values, protocols)
     return [SweepRow(cfg.protocol, cfg.n, cfg.tau, cfg.params.p_start, results, agg)
             for cfg, (results, agg) in zip(points, run_batches(points))]
 

@@ -418,20 +418,17 @@ class LocateBehavior(_SourceMixin):
 class FloodingBehavior(_SourceMixin):
     """One-shot epidemic relaying with a uniform backoff before each transmission.
 
-    With relay_probability set, every relay decision is gated by one coin flip
-    (the probabilistic baseline); None relays unconditionally.
+    A gated behaviour (the probabilistic baseline) gates every relay decision by one
+    coin flip of probability q_flood; an ungated one relays unconditionally.
     """
 
-    def __init__(self, params: ProtocolParams, relay_probability: float | None = None) -> None:
-        if relay_probability is not None and not (0.0 < relay_probability <= 1.0):
-            raise ValueError(f"relay probability {relay_probability} outside (0, 1]")
+    def __init__(self, params: ProtocolParams, gated: bool) -> None:
         self.params = params
-        self.relay_probability = relay_probability
+        self.q_flood = params.q_flood if gated else None
 
     def _coin(self, stream: RandomStream) -> bool:
-        if self.relay_probability is None:
-            return True
-        return stream.bernoulli(self.relay_probability)
+        q = self.q_flood
+        return q is None or stream.bernoulli(q)
 
     def on_delivery(self, st: EmergencyState, msg: Message, t: float,
                     pos: tuple[float, float], stream: RandomStream) -> list[tuple]:

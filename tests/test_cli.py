@@ -153,14 +153,13 @@ def test_sweep_plan_parses_axis_values_and_protocols():
     assert axis == "tau"
     assert values == [0.05, 0.1, 0.15]
     assert names == ["locate", "flooding"]
-    with pytest.raises(ConfigError, match="sweep_axis"):
-        sweep_plan({"sweep_axis": "side", "sweep_values": "1"})
+    # sweep_plan only parses: the axis and the protocol names are checked by main
+    assert sweep_plan({"sweep_axis": "side", "sweep_values": "1", "protocols": "gossip"}) \
+        == ("side", [1.0], ["gossip"])
     with pytest.raises(ConfigError, match="sweep_values"):
         sweep_plan({"sweep_axis": "tau"})
     with pytest.raises(ConfigError, match="sweep_values"):
         sweep_plan({"sweep_axis": "tau", "sweep_values": "a,b"})
-    with pytest.raises(ConfigError, match="protocols"):
-        sweep_plan({"sweep_axis": "tau", "sweep_values": "0.1", "protocols": "gossip"})
 
 
 @pytest.fixture
@@ -306,12 +305,13 @@ def test_main_negative_seed_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def no_simulation(points):
+    raise AssertionError("simulated a config that should be rejected")
+
+
 def test_main_sub_metre_side_exits_2_before_simulating(tmp_path, monkeypatch, capsys):
     # legs of a 1e-20 m arena end faster than the clock resolves, so a run would never end
-    def simulate(config):
-        raise AssertionError("simulated a config that should be rejected")
-
-    monkeypatch.setattr("locatesim.cli.run_batch", simulate)
+    monkeypatch.setattr("locatesim.cli.sweep", no_simulation)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("side = 1e-20\n")
     out_dir = tmp_path / "out"
@@ -321,6 +321,51 @@ def test_main_sub_metre_side_exits_2_before_simulating(tmp_path, monkeypatch, ca
     assert err.startswith("error: arena side 1e-20 ")
     assert len(err.splitlines()) == 1
     assert not out_dir.exists()
+
+
+def test_main_sub_resolution_contention_window_exits_2(tmp_path, monkeypatch, capsys):
+    # a 1e-300 s beacon window is below the clock's resolution: the source would beacon
+    # at one time forever
+    monkeypatch.setattr("locatesim.cli.sweep", no_simulation)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("cw_min = 0\ncw_max = 1e-300\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--n", "0", "--tau", "0", "--runs", "1",
+                 "--horizon", "10", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 10.0 s exceeds 1e6 contention windows")
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("sweep_axis", "side", "unknown sweep axis 'side', expected one of ('tau', 'n', 'p_start')"),
+    ("protocols", "gossip", "unknown protocol 'gossip', expected one of"),
+])
+def test_main_bad_sweep_setting_exits_2_before_simulating(key, value, message, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr("locatesim.cli.sweep", no_simulation)
+    settings = {"n": "5", "tau": "0.2", "runs": "1", "sweep_axis": "tau",
+                "sweep_values": "0.1", key: value}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_main_run_is_a_one_point_sweep(threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("LOCATE_SIM_THREADS", threads)
+    run_dir, sweep_dir = tmp_path / "run", tmp_path / "sweep"
+    assert main(RUN_ARGS + ["--out", str(run_dir)]) == 0
+    assert main(["sweep"] + RUN_ARGS[1:] + ["--axis", "tau", "--values", "0.25",
+                                            "--out", str(sweep_dir)]) == 0
+    for name in ("runs.csv", "aggregate.csv"):
+        assert (run_dir / name).read_bytes() == (sweep_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("axis,values,message", [

@@ -47,6 +47,10 @@ def test_config_validation():
     for side in (0.0, 0.999, 1e-20):  # legs shorter than the clock resolves would never end
         with pytest.raises(ValueError, match="arena side"):
             ScenarioConfig(side_m=side)
+    # a beacon window below the clock's resolution: the source's timer would refire forever
+    with pytest.raises(ValueError, match="contention windows"):
+        ScenarioConfig(n=0, tau=0.0, horizon_s=10.0,
+                       params=ProtocolParams(cw_min_s=0.0, cw_max_s=1e-300))
 
 
 def test_static_solver_pair_resolves_within_one_window():
@@ -123,7 +127,7 @@ def test_sweep_starts_one_pool(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "2")
     base = small(runs=2)
     args = ("tau", [0.1, 0.2, 0.3], ["locate", "flooding"])
-    rows = sweep(base, *args)
+    rows = sweep(sweep_points(base, *args))
     assert len(started) == 1
     monkeypatch.setenv(THREADS_ENV, "1")
     assert [(row.results, row.agg) for row in rows] \
@@ -500,7 +504,7 @@ def test_dense_arena_always_resolves(monkeypatch):
 
 
 def test_sweep_produces_a_row_per_protocol_and_value():
-    rows = sweep(small(runs=2), "tau", [0.1, 0.3], ["locate", "flooding"])
+    rows = sweep(sweep_points(small(runs=2), "tau", [0.1, 0.3], ["locate", "flooding"]))
     assert [(r.protocol, r.tau) for r in rows] \
         == [("locate", 0.1), ("locate", 0.3), ("flooding", 0.1), ("flooding", 0.3)]
     # rows share seeds: matched worlds across protocols at each point
@@ -508,16 +512,16 @@ def test_sweep_produces_a_row_per_protocol_and_value():
 
 
 def test_sweep_axis_variants_and_validation():
-    rows = sweep(small(runs=1), "n", [4.0], None)
+    rows = sweep(sweep_points(small(runs=1), "n", [4.0], None))
     assert rows[0].n == 4 and rows[0].protocol == "locate"
-    rows = sweep(small(runs=1), "p_start", [0.8])
+    rows = sweep(sweep_points(small(runs=1), "p_start", [0.8]))
     assert rows[0].p_start == 0.8
     with pytest.raises(ValueError):
-        sweep(small(runs=1), "side", [1.0])
+        sweep(sweep_points(small(runs=1), "side", [1.0]))
     with pytest.raises(ValueError):
-        sweep(small(runs=1), "n", [4.5])
+        sweep(sweep_points(small(runs=1), "n", [4.5]))
     with pytest.raises(ValueError):
-        sweep(small(runs=1), "tau", [])
+        sweep(sweep_points(small(runs=1), "tau", []))
 
 
 def traced_run(**kw):

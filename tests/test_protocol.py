@@ -98,6 +98,9 @@ def test_params_validation():
         ProtocolParams(ttl_init=-1)
     with pytest.raises(ValueError):
         ProtocolParams(e_thr_s=0.0)
+    for q in (0.0, 1.5):  # the probabilistic baseline's relay coin
+        with pytest.raises(ValueError, match="q_flood"):
+            ProtocolParams(q_flood=q)
     for field in ("cw_max_s", "gamma_per_m", "radius_m", "dtn_dist_m", "e_thr_s"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -581,7 +584,7 @@ def test_solved_is_absorbing_for_request_rebroadcast():
 # -- flooding baselines ----------------------------------------------------------
 
 def flood():
-    return FloodingBehavior(P, relay_probability=None)
+    return FloodingBehavior(P, gated=False)
 
 
 def test_flooding_relays_request_exactly_once():
@@ -669,7 +672,7 @@ def test_flooding_solved_node_answers_later_requests():
 def test_probabilistic_coin_is_final_for_requests():
     found_skip = found_relay = False
     for s in range(60):
-        b = FloodingBehavior(P, relay_probability=0.4)
+        b = FloodingBehavior(P, gated=True)  # P.q_flood is 0.4
         st = relay_state()
         acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(s))
         if FORWARD in timer_delays(acts):
@@ -685,14 +688,7 @@ def test_probabilistic_coin_is_final_for_requests():
 
 def test_probabilistic_never_gates_original_replies():
     for s in range(30):
-        b = FloodingBehavior(P, relay_probability=0.4)
+        b = FloodingBehavior(P, gated=True)  # P.q_flood is 0.4
         st = solver_state()
         acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(s))
         assert ACCEPT in timer_delays(acts)
-
-
-def test_probabilistic_validates_probability():
-    with pytest.raises(ValueError):
-        FloodingBehavior(P, relay_probability=0.0)
-    with pytest.raises(ValueError):
-        FloodingBehavior(P, relay_probability=1.2)
