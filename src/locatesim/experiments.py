@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
 from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                        EmergencyState, FloodingBehavior, LocateBehavior, ProtocolParams,
-                       may_transmit)
+                       ignores_request, may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
 from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
@@ -129,11 +129,21 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
 
     Every node an event reaches takes one path: a DELIVERY supplies its
     receivers in `broadcast`'s order, a TIMER or FREEZE_POLL its own node (a
-    LEG_END only starts the next leg). Per node, a delivery drops a collided
-    copy and marks awareness or the source's first reply; then the state is
-    looked up, the handler called, its actions interpreted and a phase change
-    recorded, and the walk stops once no aware node is unsolved. Every exit
-    is tested at the loop top, between events.
+    LEG_END only starts the next leg). Per node, the state is looked up once;
+    a delivery drops a collided copy, marks awareness or the source's first
+    reply, and skips an ignored request copy (below); then the handler is
+    called, its actions interpreted and a phase change recorded, and the walk
+    stops once no aware node is unsolved. Every exit is tested at the loop
+    top, between events.
+
+    A request copy to an aware node for which `protocol.ignores_request` holds
+    (a baseline relay past its one relay decision, not solved) stops after the
+    awareness bookkeeping: its handler would draw and change nothing, its phase
+    entry was logged when the phase last changed, and its `waiting` and `able`
+    flags move only with its state, so skipping its position, handler and
+    interpretation leaves every result and `trace=` list as it was. The
+    predicate is read through this module's global, as `broadcast` is, so a
+    test can patch it off.
 
     A broadcast that reaches anyone is one DELIVERY event at t + airtime.
     This is exactly one event per copy: such copies would share the time and
@@ -257,6 +267,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             if kind == FREEZE_POLL:
                 polls.discard(node)
         for node in nodes:
+            st = states.get(node)
             if delivery:
                 if collision and collided(busy[node], sent, t):
                     continue
@@ -266,9 +277,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                         waiting.add(node)  # dropped again below if the node is already solved
                         if trace is not None:
                             trace.append(("aware", t, node))
+                    elif ignores_request(st):  # an aware node has a state
+                        continue  # its handler would draw and change nothing
                 elif node == SOURCE_ID and ert is None:
                     ert = t
-            st = states.get(node)
             if st is None:
                 st = states[node] = EmergencyState(node, world.nodes[node].role == Role.SOLVER,
                                                    node == SOURCE_ID)
@@ -295,7 +307,8 @@ def _run_indexed(args: tuple[ScenarioConfig, int]) -> RunResult:
 
 def worker_count(runs: int) -> int:
     """Worker pool size for `runs` runs: LOCATE_SIM_THREADS caps it, 0 or unset means one
-    per CPU. ValueError unless the variable is a non-negative integer."""
+    per CPU this process may run on. ValueError unless the variable is a non-negative
+    integer."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     try:
         requested = int(raw or 0)
@@ -303,7 +316,11 @@ def worker_count(runs: int) -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
     if requested < 0:
         raise ValueError(f"{THREADS_ENV} must be non-negative, got {requested}")
-    return max(1, min(requested or os.cpu_count() or 1, runs))
+    if not requested:
+        # the affinity mask, where the platform has one, not every CPU of the host
+        affinity = getattr(os, "sched_getaffinity", None)
+        requested = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(requested, runs))
 
 
 def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Aggregate]]:

@@ -3,7 +3,10 @@
 Handlers are pure with respect to the event loop: they mutate only their own
 per-node state and return a list of action tuples for the runner to interpret.
 Every random draw goes through the stream passed in, in a fixed order, so a
-seed fully determines behavior.
+seed fully determines behavior. Two predicates read a state for the runner:
+`may_transmit` (can the node still transmit before it hears another message)
+and `ignores_request` (would a request copy leave the node and the stream as
+they are).
 """
 
 from __future__ import annotations
@@ -143,6 +146,17 @@ def may_transmit(st: EmergencyState) -> bool:
         return st.phase == DTN_FROZEN and st.stored_req.ttl >= 1
     return not (len(live) == 1 and DTN in live and not st.is_source
                 and st.stored_req.ttl < 1)
+
+
+def ignores_request(st: EmergencyState) -> bool:
+    """Whether a request copy would change nothing at the node and draw nothing.
+
+    True exactly for a baseline relay that has made its one relay decision
+    (relayed, or lost the coin) and is not solved: `FloodingBehavior` then
+    neither draws nor changes a field. `LocateBehavior` never sets `req_done`,
+    and the source never makes a relay decision, so it is false for them.
+    """
+    return st.req_done and st.phase != SOLVED
 
 
 class _SourceMixin:

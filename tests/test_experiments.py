@@ -195,6 +195,22 @@ def test_worker_count_env(monkeypatch):
         worker_count(4)
 
 
+@pytest.mark.parametrize("env", [None, "0"])
+def test_worker_count_default_is_the_cpus_this_process_may_use(monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, env)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count(100) == 3  # the affinity mask, not the host's 8 CPUs
+    assert worker_count(2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count(100) == 8  # no affinity call on this platform: every CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(100) == 1
+
+
 @pytest.mark.parametrize("airtime", [0.4, 1.0])
 def test_copies_land_one_airtime_after_the_transmission(airtime):
     trace = []

@@ -71,6 +71,36 @@ def test_trace_invariants(config):
     assert (result.ereq_count, result.erep_count) == (requests, replies)
 
 
+flooding_configs = st.builds(
+    lambda n, tau, protocol, pdr_model, interference, horizon_s, side_m, seed:
+        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
+                       base_seed=seed, horizon_s=horizon_s,
+                       radio=lora_profile(pdr_model=pdr_model, interference=interference)),
+    n=st.integers(0, 60),
+    tau=st.floats(0.0, 1.0),
+    protocol=st.sampled_from(("flooding", "probabilistic")),
+    pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
+    interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
+    horizon_s=st.floats(1.0, 1800.0),
+    side_m=st.floats(300.0, 5000.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(flooding_configs)
+def test_skipping_ignored_request_copies_changes_no_run(config):
+    """The DELIVERY walk's skip of copies that `ignores_request` says change nothing
+    gives the same result and `trace=` list as handing every copy to the handler."""
+    trace: list = []
+    result = run_once(config, 0, trace=trace)
+    with mock.patch("locatesim.experiments.ignores_request", lambda st: False):
+        every_trace: list = []
+        every = run_once(config, 0, trace=every_trace)
+    assert result == every
+    assert trace == every_trace
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(1, 12), st.floats(10.0, 5000.0), st.integers(0, 2**31 - 1), st.integers(1, 8))
 def test_legs_stay_in_the_arena(n, side, seed, legs):

@@ -1,5 +1,6 @@
 """Contention-window formulas and the per-node dissemination state machines."""
 
+import copy
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE
                                 UNAWARE, EmergencyState, FloodingBehavior, LocateBehavior,
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
-                                forwarding_window)
+                                forwarding_window, ignores_request)
 
 P = ProtocolParams()
 
@@ -692,3 +693,90 @@ def test_probabilistic_never_gates_original_replies():
         st = solver_state()
         acts = b.on_delivery(st, req(), 0.4, (2900.0, 2500.0), RandomStream(s))
         assert ACCEPT in timer_delays(acts)
+
+
+# -- ignored request copies ---------------------------------------------------------
+
+def _decided_relays():
+    """(label, behavior, state) for each kind of baseline relay past its relay decision."""
+    pos = (2900.0, 2500.0)
+    b = flood()
+    armed = relay_state()
+    b.on_delivery(armed, req(), 0.4, pos, RandomStream(3))
+    fired = relay_state()
+    b.on_delivery(fired, req(), 0.4, pos, RandomStream(3))
+    b.on_timer(fired, FORWARD, 5.0, pos, RandomStream(4))
+    cases = [("flooding, relay armed", b, armed), ("flooding, relay sent", b, fired)]
+    won = lost = None
+    for s in range(60):
+        g = FloodingBehavior(P, gated=True)  # P.q_flood is 0.4
+        st = relay_state()
+        g.on_delivery(st, req(), 0.4, pos, RandomStream(s))
+        if FORWARD in st.live:
+            won = won or (g, st)
+        else:
+            lost = lost or (g, st)
+    cases += [("probabilistic, coin won", *won), ("probabilistic, coin lost", *lost)]
+    return cases
+
+
+DECIDED = _decided_relays()
+
+
+@pytest.mark.parametrize("label,b,st", DECIDED, ids=[case[0] for case in DECIDED])
+def test_decided_baseline_relay_ignores_every_request_copy(label, b, st):
+    assert st.req_done and st.phase == ACCEPTING
+    for ttl in range(P.ttl_init + 1):
+        for tx, tx_pos, pos in ((0, ORIGIN, (2900.0, 2500.0)), (1, (0.0, 0.0), (0.0, 0.0)),
+                                (9, (4999.0, 12.5), (2600.0, 2400.0))):
+            assert ignores_request(st), label
+            before = copy.deepcopy(st)
+            stream, twin = RandomStream(ttl), RandomStream(ttl)
+            assert b.on_delivery(st, req(tx=tx, ttl=ttl, tx_pos=tx_pos), 30.0 + ttl, pos,
+                                 stream) == []
+            assert st == before, (label, ttl, tx)
+            assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0), (label, ttl, tx)
+
+
+def _undecided_states():
+    """(label, state) for which a request copy may act, so the predicate must be false."""
+    pos = (2900.0, 2500.0)
+    b = flood()
+    solver = solver_state()
+    b.on_delivery(solver, req(), 0.4, pos, RandomStream(3))
+    solved = relay_state()
+    b.on_delivery(solved, req(), 0.4, pos, RandomStream(3))
+    b.on_delivery(solved, rep(ttl=14), 2.0, pos, RandomStream(4))
+    spent_copy = relay_state()
+    b.on_delivery(spent_copy, req(ttl=0), 0.4, pos, RandomStream(3))
+    source = source_state()
+    b.start_emergency(source, 0.0, ORIGIN, RandomStream(3))
+    cases = [("flooding solver", solver), ("flooding solved relay", solved),
+             ("flooding relay heard only ttl 0", spent_copy), ("flooding source", source)]
+    for name, lb in (("locate", locate()), ("locate-basic", basic())):
+        unaware = relay_state()
+        accepting = relay_state()
+        lb.on_delivery(accepting, req(), 0.4, pos, RandomStream(3))
+        forwarding = relay_state()
+        lb.on_delivery(forwarding, req(), 0.4, pos, RandomStream(3))
+        lb.on_timer(forwarding, GUARD, 20.4, pos, RandomStream(4))
+        carrier = dtn_carrier(lb)
+        cases += [(f"{name} {st.phase}", st) for st in (unaware, accepting, forwarding, carrier)]
+        loc_solved = dtn_carrier(lb)
+        lb.on_delivery(loc_solved, rep(ttl=14), 30.0, pos, RandomStream(6))
+        loc_source = source_state()
+        lb.start_emergency(loc_source, 0.0, ORIGIN, RandomStream(3))
+        cases += [(f"{name} solved", loc_solved), (f"{name} source", loc_source)]
+    frozen = dtn_carrier(locate())
+    locate().on_delivery(frozen, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
+    locate().on_delivery(frozen, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
+    cases.append(("locate frozen", frozen))
+    return cases
+
+
+def test_ignores_request_is_false_where_a_copy_may_act():
+    cases = _undecided_states()
+    phases = {st.phase for label, st in cases if label.startswith("locate ")}
+    assert phases == {UNAWARE, ACCEPTING, FORWARDING, DTN_ACTIVE, DTN_FROZEN, SOLVED}
+    for label, st in cases:
+        assert not ignores_request(st), label
