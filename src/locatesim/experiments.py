@@ -38,6 +38,10 @@ PROTOCOLS = tuple(_BEHAVIORS)
 # movement check lattice while a carrier is frozen: ticks that cannot thaw it are skipped
 POLL_PERIOD_S = 1.0
 
+# spent carry ticks re-arm without `on_timer` (see run_once); False hands every timer to the
+# handler, with the same results and `trace=` lists
+SHORT_SPENT_TICKS = True
+
 SOURCE_ID = 0
 
 
@@ -145,6 +149,17 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     predicate is read through this module's global, as `broadcast` is, so a
     test can patch it off.
 
+    A timer that pops for a node outside `able` is a spent carry tick: by
+    `protocol.may_transmit`, the node's one armed timer is the DTN tick of a
+    non-source carrier in DTN_ACTIVE whose stored request has no hop budget
+    (baselines never have one). It calls `LocateBehavior.carry_tick`, which
+    `on_timer` also uses to draw the coin and then the period, re-arms the
+    tick at t + period and goes to the next event. That is exact: the same two
+    draws happen in the same order at the same event, the tick changes no
+    phase (its entry was logged when the phase changed), and `waiting` and
+    `able` cannot move without a change of state. `SHORT_SPENT_TICKS = False`
+    hands every timer to `on_timer`, so a test can compare the two.
+
     A broadcast that reaches anyone is one DELIVERY event at t + airtime.
     This is exactly one event per copy: such copies would share the time and
     take consecutive insertion numbers, so nothing could pop between them, an
@@ -173,6 +188,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     on_delivery = behavior.on_delivery
     on_timer = behavior.on_timer
     on_freeze_poll = behavior.on_freeze_poll
+    carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
+    short_ticks = SHORT_SPENT_TICKS
     states: dict[int, EmergencyState] = {}
     polls: set[int] = set()  # nodes with a freeze poll in the queue
     busy: dict[int, list[tuple[float, float]]] = {}
@@ -252,6 +269,12 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             end_time = horizon
             break
         t, kind, node, data = pop()
+        if kind == TIMER and node not in able and short_ticks:
+            # a spent carry tick (see may_transmit): the handler's two draws and the re-arm of
+            # its slot (data, DTN) are all it would do
+            st = states[node]
+            st.live[data] = schedule(t + carry_tick(st, t, stream)[1], TIMER, node, data)
+            continue
         if kind == LEG_END:
             leg = world.start_leg(node, t, stream)
             schedule(leg.end, LEG_END, node, None)

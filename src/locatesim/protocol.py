@@ -89,7 +89,9 @@ def distance_bias(d: float, gamma_per_m: float, radius_m: float) -> float:
     """Saturating distance weight: ~gamma*d near zero, leveling off at gamma*radius."""
     if d < 0.0:
         raise ValueError(f"negative distance {d}")
-    return gamma_per_m * d / (1.0 + d / radius_m)
+    bias = gamma_per_m * d / (1.0 + d / radius_m)
+    # inf / inf when gamma * d and d / radius both overflow: d is then far past saturation
+    return bias if bias == bias else gamma_per_m * radius_m
 
 
 def acceptance_window(d: float, params: ProtocolParams) -> float:
@@ -140,6 +142,13 @@ def may_transmit(st: EmergencyState) -> bool:
     left never transmits from its DTN tick again. Every other armed timer,
     the source's beacon included, counts. A frozen carrier has no armed timer
     but re-arms its tick when it thaws, so it counts while it has budget.
+
+    So a timer that pops for a node this is false for is a spent carry tick:
+    the DTN tick of a non-source carrier in DTN_ACTIVE whose stored request
+    has `ttl < 1` (its one armed slot; DTN is armed only in DTN_ACTIVE). The
+    runner re-arms it through `LocateBehavior.carry_tick` without the handler.
+    `FloodingBehavior` never has such a timer: its relays arm only FORWARD and
+    ACCEPT, which count, and the source always counts.
     """
     live = st.live
     if not live:
@@ -369,23 +378,37 @@ class LocateBehavior(_SourceMixin):
             return _relay_cached_reply(st, t, pos)
         return []
 
-    def _fire_dtn(self, st: EmergencyState, t: float, pos: tuple[float, float],
-                  stream: RandomStream) -> list[tuple]:
-        acts: list[tuple] = []
+    def carry_tick(self, st: EmergencyState, t: float,
+                   stream: RandomStream) -> tuple[bool, float]:
+        """The draws of a carrier's DTN tick at t: its rebroadcast coin, then its next
+        period. Sets `dtn_fire_at` to t + period; arming the timer is the caller's.
+
+        The coin is drawn even when the stored request has no hop budget left, so a
+        spent carrier's tick uses the stream as one with budget does. The runner
+        re-arms a spent carrier's tick through this method alone.
+        """
         p = 1.0
         if self.dtn_optimized:
             heard = len(st.overheard)
             p = self._carry_p.get(heard)
             if p is None:
                 p = self._carry_p[heard] = dtn_forward_probability(self.params.p_start, heard)
-        if stream.bernoulli(p) and st.stored_req.ttl >= 1:
+        coin = stream.bernoulli(p)
+        period = stream.uniform(self.params.cw_min_s, self.params.cw_max_s)
+        st.dtn_fire_at = t + period
+        return coin, period
+
+    def _fire_dtn(self, st: EmergencyState, t: float, pos: tuple[float, float],
+                  stream: RandomStream) -> list[tuple]:
+        acts: list[tuple] = []
+        coin, period = self.carry_tick(st, t, stream)
+        if coin and st.stored_req.ttl >= 1:
             # each rebroadcast is a relay: it spends hop budget like any other
             st.stored_req = _relayed(st, st.stored_req, pos)
             acts.append((TRANSMIT, st.stored_req))
         # the period always restarts; a spent carrier stays silent until it
         # adopts a fresher copy of the request
-        self._arm_dtn(st, acts, t,
-                      stream.uniform(self.params.cw_min_s, self.params.cw_max_s))
+        _set(st, acts, DTN, period)
         return acts
 
     # -- movement polling ----------------------------------------------------

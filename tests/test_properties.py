@@ -4,16 +4,16 @@ import os
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locatesim.experiments import (PROTOCOLS, SOURCE_ID, THREADS_ENV, ScenarioConfig,
-                                   run_batches, run_once)
-from locatesim.kernel import RandomStream
+from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_ENV,
+                                   ScenarioConfig, run_batches, run_once)
+from locatesim.kernel import EventQueue, RandomStream
 from locatesim.protocol import E_REQ, SOLVED, ProtocolParams
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
-                             lora_profile)
-from locatesim.world import Role, World, distance
+                             RadioProfile, lora_profile)
+from locatesim.world import SPEED_MAX, Role, World, distance
 
 from topologies import static_world
 
@@ -99,6 +99,120 @@ def test_skipping_ignored_request_copies_changes_no_run(config):
         every = run_once(config, 0, trace=every_trace)
     assert result == every
     assert trace == every_trace
+
+
+# hop budgets of 0-3 spend carriers early, so most runs pop spent carry ticks
+locate_configs = st.builds(
+    lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
+        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
+                       base_seed=seed, horizon_s=horizon_s,
+                       radio=lora_profile(pdr_model=pdr_model, interference=interference),
+                       params=ProtocolParams(ttl_init=ttl_init)),
+    n=st.integers(0, 20),
+    tau=st.floats(0.0, 1.0),
+    protocol=st.sampled_from(("locate", "locate-basic")),
+    pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
+    interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
+    ttl_init=st.integers(0, 3),
+    horizon_s=st.floats(1.0, 3600.0),
+    side_m=st.floats(300.0, 5000.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(locate_configs)
+def test_short_spent_carry_ticks_change_no_run(config):
+    """Re-arming a spent carrier's tick through `carry_tick` alone gives the same result
+    and `trace=` list as handing every timer to `on_timer`."""
+    trace: list = []
+    result = run_once(config, 0, trace=trace)
+    with mock.patch("locatesim.experiments.SHORT_SPENT_TICKS", False):
+        every_trace: list = []
+        every = run_once(config, 0, trace=every_trace)
+    assert result == every
+    assert trace == every_trace
+
+
+extreme = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)  # subnormals too
+probability = st.floats(0.0, 1.0, exclude_min=True)
+# contention windows per horizon: up to 1e3, which tier-1 can afford, or well past the 1e6
+# floor (just past it, rounding in horizon / windows can still be accepted)
+windows_per_horizon = st.one_of(st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+                                st.floats(min_value=1e7, max_value=1e300))
+
+
+def positive(lo, hi):
+    """A positive float: three times in four from [lo, hi], else from anywhere up to the
+    largest finite float, so that most runs reach other nodes."""
+    return st.integers(0, 3).flatmap(lambda k: extreme if k == 3 else st.floats(lo, hi))
+
+
+@st.composite
+def any_scenario(draw):
+    """The fields of any scenario, extreme finite floats included, as (scenario, radio,
+    params, windows): horizons up to an hour and cw_max = horizon / windows."""
+    horizon = draw(st.floats(min_value=0.0, max_value=3600.0, exclude_min=True))
+    windows = draw(windows_per_horizon)
+    cw_max = horizon / windows
+    radio = dict(range_m=draw(positive(50.0, 2000.0)), airtime_s=draw(positive(0.01, 2.0)),
+                 beta=draw(positive(0.5, 8.0)),
+                 pdr_model=draw(st.sampled_from((UNIT_DISK, SMOOTH))),
+                 interference=draw(st.sampled_from((INTERFERENCE_NONE,
+                                                    INTERFERENCE_COLLISION))))
+    params = dict(cw_min_s=cw_max * draw(st.floats(0.0, 1.0, exclude_max=True)),
+                  cw_max_s=cw_max, gamma_per_m=draw(positive(1e-4, 0.1)),
+                  radius_m=draw(positive(10.0, 2000.0)), dtn_dist_m=draw(positive(1.0, 200.0)),
+                  p_start=draw(probability), q_flood=draw(probability),
+                  ttl_init=draw(st.integers(0, 16)), e_thr_s=draw(positive(1.0, 3600.0)))
+    scenario = dict(n=draw(st.integers(0, 8)), tau=draw(st.floats(0.0, 1.0)),
+                    protocol=draw(st.sampled_from(PROTOCOLS)), side_m=draw(st.floats(1.0, 5000.0)),
+                    base_seed=draw(st.integers(0, 2**31 - 1)), horizon_s=horizon)
+    return scenario, radio, params, windows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_scenario())
+# the source beacons in a 1e-300 s window, below the clock's resolution at 10 s
+@example(({"n": 0, "tau": 0.0, "protocol": "locate", "side_m": 5000.0, "base_seed": 1,
+           "horizon_s": 10.0}, {}, {"cw_min_s": 0.0, "cw_max_s": 1e-300}, 1e301))
+# gamma * d and d / radius overflow together in every contention window
+@example(({"n": 10, "tau": 0.5, "protocol": "locate", "side_m": 500.0, "base_seed": 1,
+           "horizon_s": 600.0}, {}, {"gamma_per_m": 1e308, "radius_m": 1e-307}, 30.0))
+def test_every_accepted_config_ends_within_an_event_budget(drawn):
+    """Every config `ScenarioConfig` accepts ends within a number of popped events set by
+    its windows per horizon, its leg ends and its 1 s freeze polls.
+
+    Each transmission is popped from a timer, and a request heard by n nodes can arm at
+    most n replies, so timers and deliveries stay within a multiple of (n + 1) ** 2 per
+    window; the source's beacon period averages at least cw_max / 2. A node walks at
+    most SPEED_MAX, and a leg crosses the arena, so its leg ends stay within a multiple
+    of horizon * SPEED_MAX / side. A config past the 1e6-window floor gets the budget of
+    1e3 windows: were it accepted, it would exhaust it rather than run for hours.
+    """
+    scenario, radio, params, windows = drawn
+    try:
+        config = ScenarioConfig(runs=1, radio=RadioProfile(**radio),
+                                params=ProtocolParams(**params), **scenario)
+    except ValueError:
+        return  # rejected: the CLI exits 2 before simulating
+    n = config.n
+    horizon = config.horizon_s
+    budget = 10 * ((n + 1) ** 2 * (min(windows, 1e3) + 1)
+                   + n * (horizon * SPEED_MAX / config.side_m + horizon / POLL_PERIOD_S + 1))
+    popped = 0
+    pop = EventQueue.pop
+
+    def counted_pop(queue):
+        nonlocal popped
+        popped += 1
+        if popped > budget:
+            raise AssertionError(f"{popped} events, budget {budget:.0f}")
+        return pop(queue)
+
+    with mock.patch.object(EventQueue, "pop", counted_pop):
+        result = run_once(config, 0)
+    assert result.end_time_s <= horizon
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

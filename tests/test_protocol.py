@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from locatesim.kernel import RandomStream
+from locatesim import experiments
+from locatesim.experiments import ScenarioConfig, run_once
+from locatesim.kernel import TIMER, EventQueue, RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
                                 DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD,
                                 SET_TIMER, SOLVED, START_POLL, TRANSMIT,
@@ -36,6 +38,14 @@ def test_distance_bias_reference_points():
     assert distance_bias(1000.0, P.gamma_per_m, P.radius_m) == pytest.approx(5.0 / 3.0, rel=REL)
     with pytest.raises(ValueError):
         distance_bias(-1.0, P.gamma_per_m, P.radius_m)
+
+
+def test_distance_bias_saturates_where_both_terms_overflow():
+    # gamma * d and d / radius both overflow to inf; the bias is then gamma * radius
+    assert distance_bias(100.0, 1e308, 1e-307) == 1e308 * 1e-307
+    params = ProtocolParams(gamma_per_m=1e308, radius_m=1e-307)
+    assert 0.0 < acceptance_window(100.0, params) < params.cw_max_s
+    assert 0.0 < forwarding_window(100.0, params) < params.cw_max_s
 
 
 def test_window_reference_points():
@@ -387,6 +397,80 @@ def test_optimized_carrier_coin_uses_overheard_count():
         assert bool(got) == expect
         hits += bool(got)
     assert hits / trials == pytest.approx(dtn_forward_probability(P.p_start, 3), abs=0.03)
+
+
+# -- one tick law ---------------------------------------------------------------
+
+def spent_carrier(b, heard):
+    """A carrier in DtnActive whose forward fire spent its one hop: only its tick is armed."""
+    st = dtn_carrier(b, ttl=1)
+    st.overheard = set(range(7, 7 + heard))  # one competitor backs off, a second would freeze
+    assert (st.phase, st.stored_req.ttl, list(st.live)) == (DTN_ACTIVE, 0, [DTN])
+    return st
+
+
+@pytest.mark.parametrize("heard", [0, 1])
+@pytest.mark.parametrize("make", [locate, basic])
+def test_spent_carry_tick_draws_as_the_handler_does(make, heard):
+    b = make()
+    pos = (2900.0, 2500.0)
+    for seed in range(20):
+        short, handled = spent_carrier(b, heard), spent_carrier(b, heard)
+        short_stream, handled_stream, two_draws = (RandomStream(seed) for _ in range(3))
+        coin, period = b.carry_tick(short, 40.0, short_stream)
+        acts = b.on_timer(handled, DTN, 40.0, pos, handled_stream)
+        assert acts == [(SET_TIMER, DTN, period)]
+        assert short.dtn_fire_at == handled.dtn_fire_at == 40.0 + period
+        two_draws.uniform(0.0, 1.0)
+        two_draws.uniform(0.0, 1.0)
+        assert short_stream.uniform(0.0, 1.0) == handled_stream.uniform(0.0, 1.0) \
+            == two_draws.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("make", [locate, basic])
+def test_carrier_tick_acts_on_the_carry_tick_draws(make):
+    b = make()
+    pos = (2900.0, 2500.0)
+    coins = 0
+    for seed in range(40):
+        twin, st = dtn_carrier(b), dtn_carrier(b)
+        coin, period = b.carry_tick(twin, 30.0, RandomStream(seed))
+        acts = b.on_timer(st, DTN, 30.0, pos, RandomStream(seed))
+        relayed = [(TRANSMIT, st.stored_req)] if coin else []
+        assert acts == relayed + [(SET_TIMER, DTN, period)]
+        assert st.dtn_fire_at == twin.dtn_fire_at
+        coins += coin
+    assert 0 < coins < 40 if b.dtn_optimized else coins == 40
+
+
+def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
+    # no solver, so the source beacons to the horizon; a 2-hop budget spends carriers early
+    config = ScenarioConfig(n=12, tau=0.0, side_m=2000.0, runs=1, horizon_s=3600.0,
+                            params=ProtocolParams(ttl_init=2))
+    counts = {}
+    on_timer = LocateBehavior.on_timer
+    pop = EventQueue.pop
+
+    def counted_on_timer(self, *args):
+        counts["handled"] += 1
+        return on_timer(self, *args)
+
+    def counted_pop(self):
+        event = pop(self)
+        counts["timers"] += event.kind == TIMER
+        return event
+
+    monkeypatch.setattr(LocateBehavior, "on_timer", counted_on_timer)
+    monkeypatch.setattr(EventQueue, "pop", counted_pop)
+    runs = []
+    for short in (True, False):
+        monkeypatch.setattr(experiments, "SHORT_SPENT_TICKS", short)
+        counts.update(handled=0, timers=0)
+        runs.append((run_once(config, 0), dict(counts)))
+    (short_run, short_counts), (full_run, full_counts) = runs
+    assert short_run == full_run
+    assert short_counts["timers"] == full_counts["timers"] == full_counts["handled"]
+    assert short_counts["handled"] < short_counts["timers"] / 2
 
 
 def test_first_competitor_reschedules_the_period():
