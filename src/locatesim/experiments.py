@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
 from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                        EmergencyState, FloodingBehavior, LocateBehavior, ProtocolParams,
-                       ignores_request, may_transmit)
+                       may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
 from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
@@ -82,6 +82,11 @@ class ScenarioConfig:
         if self.horizon_s > 1e6 * self.params.cw_max_s:
             raise ValueError(f"horizon {self.horizon_s} s exceeds 1e6 contention windows "
                              f"(cw_max {self.params.cw_max_s} s)")
+        # a frozen carrier's poll walks the lattice to the horizon one addition at a time,
+        # which past 2**53 s no longer advances
+        if self.horizon_s > 1e6 * POLL_PERIOD_S:
+            raise ValueError(f"horizon {self.horizon_s} s exceeds 1e6 poll periods "
+                             f"({POLL_PERIOD_S} s)")
 
 
 @dataclass(slots=True)
@@ -140,14 +145,22 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     stops once no aware node is unsolved. Every exit is tested at the loop
     top, between events.
 
-    A request copy to an aware node for which `protocol.ignores_request` holds
-    (a baseline relay past its one relay decision, not solved) stops after the
-    awareness bookkeeping: its handler would draw and change nothing, its phase
-    entry was logged when the phase last changed, and its `waiting` and `able`
-    flags move only with its state, so skipping its position, handler and
-    interpretation leaves every result and `trace=` list as it was. The
-    predicate is read through this module's global, as `broadcast` is, so a
-    test can patch it off.
+    A request copy to an aware node for which the behavior's `ignores_request`
+    holds stops after the awareness bookkeeping, unless `trace` is given and the
+    node's phase entry is not logged yet. The predicate names the copies whose
+    handler would draw nothing, change no field and return no action: every
+    copy to the source; in `locate` and `locate-basic`, a relay in ACCEPTING, a
+    carrier (active or frozen) whose copy is no fresher than its stored one and,
+    in `locate`, from a carrier it has overheard, a solver whose copy has no hop
+    budget or whose reply slot is armed, and a solved relay with no reply to
+    give or its reply slot armed; in the baselines, a relay past its one relay
+    decision and not solved. Skipping its position, handler and interpretation
+    leaves every result as it was: its `waiting` and `able` flags move only with
+    its state. The phase condition keeps `trace=` lists as they were too: the
+    source enters DTN_ACTIVE at 0.0 but its entry is logged at its first handled
+    event, which may be a request copy; every other aware node logged its
+    phase when it last changed. The predicate is bound once per run from the
+    behavior, so a test can patch it off on the class.
 
     A timer that pops for a node outside `able` is a spent carry tick: by
     `protocol.may_transmit`, the node's one armed timer is the DTN tick of a
@@ -188,6 +201,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     on_delivery = behavior.on_delivery
     on_timer = behavior.on_timer
     on_freeze_poll = behavior.on_freeze_poll
+    ignores_request = behavior.ignores_request
     carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
     short_ticks = SHORT_SPENT_TICKS
     states: dict[int, EmergencyState] = {}
@@ -300,7 +314,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                         waiting.add(node)  # dropped again below if the node is already solved
                         if trace is not None:
                             trace.append(("aware", t, node))
-                    elif ignores_request(st):  # an aware node has a state
+                    # an aware node has a state; past its first handled event its phase
+                    # entry is logged
+                    elif ignores_request(st, msg) and (trace is None
+                                                       or phase_seen.get(node) == st.phase):
                         continue  # its handler would draw and change nothing
                 elif node == SOURCE_ID and ert is None:
                     ert = t

@@ -5,8 +5,8 @@ per-node state and return a list of action tuples for the runner to interpret.
 Every random draw goes through the stream passed in, in a fixed order, so a
 seed fully determines behavior. Two predicates read a state for the runner:
 `may_transmit` (can the node still transmit before it hears another message)
-and `ignores_request` (would a request copy leave the node and the stream as
-they are).
+and each behavior's `ignores_request` (would a request copy leave the node and
+the stream as they are).
 """
 
 from __future__ import annotations
@@ -157,17 +157,6 @@ def may_transmit(st: EmergencyState) -> bool:
                 and st.stored_req.ttl < 1)
 
 
-def ignores_request(st: EmergencyState) -> bool:
-    """Whether a request copy would change nothing at the node and draw nothing.
-
-    True exactly for a baseline relay that has made its one relay decision
-    (relayed, or lost the coin) and is not solved: `FloodingBehavior` then
-    neither draws nor changes a field. `LocateBehavior` never sets `req_done`,
-    and the source never makes a relay decision, so it is false for them.
-    """
-    return st.req_done and st.phase != SOLVED
-
-
 class _SourceMixin:
     """Source behavior is identical across schemes: beacon until a reply arrives."""
 
@@ -283,6 +272,32 @@ class LocateBehavior(_SourceMixin):
             _set(st, acts, FORWARD, stream.uniform(0.0, forwarding_window(d, self.params)))
         return acts
 
+    def ignores_request(self, st: EmergencyState, msg: Message) -> bool:
+        """Whether `on_delivery` of the request copy msg would return no action, change
+        no field and draw nothing, read branch by branch from `_on_request`.
+
+        True for the source; a non-solver relay in ACCEPTING; a carrier, active or
+        frozen, whose copy is no fresher than its stored one and (optimised only) comes
+        from a carrier it has already overheard; a solver past UNAWARE whose copy has no
+        hop budget or whose reply slot is armed; and a solved relay with no cached reply
+        to give or its reply slot armed. Never true before the node has stored a copy,
+        nor for an UNAWARE or FORWARDING relay.
+        """
+        if st.is_source:
+            return True
+        stored = st.stored_req
+        if stored is None:
+            return False
+        phase = st.phase
+        if st.is_solver:
+            return phase != UNAWARE and (msg.ttl < 1 or ACCEPT in st.live)
+        if phase == DTN_ACTIVE or phase == DTN_FROZEN:
+            return msg.ttl <= stored.ttl and (not self.dtn_optimized or msg.tx in st.overheard)
+        if phase == SOLVED:
+            rep = st.cached_rep
+            return rep is None or rep.ttl < 1 or ACCEPT in st.live
+        return phase == ACCEPTING
+
     def _on_request(self, st: EmergencyState, msg: Message, t: float,
                     pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
@@ -393,8 +408,7 @@ class LocateBehavior(_SourceMixin):
             p = self._carry_p.get(heard)
             if p is None:
                 p = self._carry_p[heard] = dtn_forward_probability(self.params.p_start, heard)
-        coin = stream.bernoulli(p)
-        period = stream.uniform(self.params.cw_min_s, self.params.cw_max_s)
+        coin, period = stream.bernoulli_uniform(p, self.params.cw_min_s, self.params.cw_max_s)
         st.dtn_fire_at = t + period
         return coin, period
 
@@ -486,6 +500,16 @@ class FloodingBehavior(_SourceMixin):
             st.pending_reply_ttl = -1
             _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
         return acts
+
+    def ignores_request(self, st: EmergencyState, msg: Message) -> bool:
+        """Whether `on_delivery` of the request copy msg would return no action, change
+        no field and draw nothing.
+
+        True for the source, and for a relay that has made its one relay decision
+        (relayed, or lost the coin) and is not solved: `_on_request` then neither
+        draws nor changes a field, whatever the copy.
+        """
+        return st.is_source or (st.req_done and st.phase != SOLVED)
 
     def _on_request(self, st: EmergencyState, msg: Message,
                     stream: RandomStream) -> list[tuple]:

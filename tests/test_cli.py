@@ -338,6 +338,18 @@ def test_main_sub_resolution_contention_window_exits_2(tmp_path, monkeypatch, ca
     assert not out_dir.exists()
 
 
+def test_main_horizon_past_1e6_poll_periods_exits_2(tmp_path, monkeypatch, capsys):
+    # a frozen carrier's poll walks the 1 s lattice to the horizon one addition at a time
+    monkeypatch.setattr("locatesim.cli.sweep", no_simulation)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--n", "5", "--tau", "0.2", "--runs", "1", "--horizon", "2e6",
+                 "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon 2000000.0 s exceeds 1e6 poll periods (1.0 s)")
+    assert len(err.splitlines()) == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("sweep_axis", "side", "unknown sweep axis 'side', expected one of ('tau', 'n', 'p_start')"),
     ("protocols", "gossip", "unknown protocol 'gossip', expected one of"),

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_ENV,
                                    ScenarioConfig, run_batches, run_once)
 from locatesim.kernel import EventQueue, RandomStream
-from locatesim.protocol import E_REQ, SOLVED, ProtocolParams
+from locatesim.protocol import (E_REQ, SOLVED, FloodingBehavior, LocateBehavior,
+                                ProtocolParams)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
@@ -87,20 +88,6 @@ flooding_configs = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(flooding_configs)
-def test_skipping_ignored_request_copies_changes_no_run(config):
-    """The DELIVERY walk's skip of copies that `ignores_request` says change nothing
-    gives the same result and `trace=` list as handing every copy to the handler."""
-    trace: list = []
-    result = run_once(config, 0, trace=trace)
-    with mock.patch("locatesim.experiments.ignores_request", lambda st: False):
-        every_trace: list = []
-        every = run_once(config, 0, trace=every_trace)
-    assert result == every
-    assert trace == every_trace
-
-
 # hop budgets of 0-3 spend carriers early, so most runs pop spent carry ticks
 locate_configs = st.builds(
     lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
@@ -128,6 +115,29 @@ def test_short_spent_carry_ticks_change_no_run(config):
     trace: list = []
     result = run_once(config, 0, trace=trace)
     with mock.patch("locatesim.experiments.SHORT_SPENT_TICKS", False):
+        every_trace: list = []
+        every = run_once(config, 0, trace=every_trace)
+    assert result == every
+    assert trace == every_trace
+
+
+def never_ignores(self, st, msg):
+    return False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(flooding_configs, locate_configs))
+# a relayed copy reaches the source before its first beacon timer, so its phase entry is
+# not logged yet: run 2 of the trace digest's flooding n=40 at base seed 7 (7 ^ 2 = 5)
+@example(ScenarioConfig(n=40, protocol="flooding", runs=1, base_seed=5))
+def test_skipping_ignored_request_copies_changes_no_run(config):
+    """The DELIVERY walk's skip of copies that the behavior's `ignores_request` says
+    change nothing gives the same result and `trace=` list as handing every copy to the
+    handler."""
+    trace: list = []
+    result = run_once(config, 0, trace=trace)
+    with mock.patch.object(LocateBehavior, "ignores_request", never_ignores), \
+            mock.patch.object(FloodingBehavior, "ignores_request", never_ignores):
         every_trace: list = []
         every = run_once(config, 0, trace=every_trace)
     assert result == every

@@ -2,8 +2,11 @@
 
 import copy
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from locatesim import experiments
 from locatesim.experiments import ScenarioConfig, run_once
@@ -14,7 +17,9 @@ from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE
                                 UNAWARE, EmergencyState, FloodingBehavior, LocateBehavior,
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
-                                forwarding_window, ignores_request)
+                                forwarding_window)
+from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
+                             lora_profile)
 
 P = ProtocolParams()
 
@@ -781,6 +786,22 @@ def test_probabilistic_never_gates_original_replies():
 
 # -- ignored request copies ---------------------------------------------------------
 
+def _effects(b, st, msg, t, pos, seed):
+    """What `on_delivery` of msg does to a copy of st: (actions, state changed, draws made)."""
+    after = copy.deepcopy(st)
+    stream, twin = RandomStream(seed), RandomStream(seed)
+    acts = b.on_delivery(after, msg, t, pos, stream)
+    return acts, after != st, stream.uniform(0.0, 1.0) != twin.uniform(0.0, 1.0)
+
+
+def _request_copies():
+    """(copy, receiver position): every hop budget, from three transmitters and spots."""
+    for ttl in range(P.ttl_init + 1):
+        for tx, tx_pos, pos in ((0, ORIGIN, (2900.0, 2500.0)), (1, (0.0, 0.0), (0.0, 0.0)),
+                                (9, (4999.0, 12.5), (2600.0, 2400.0))):
+            yield req(tx=tx, ttl=ttl, tx_pos=tx_pos), pos
+
+
 def _decided_relays():
     """(label, behavior, state) for each kind of baseline relay past its relay decision."""
     pos = (2900.0, 2500.0)
@@ -810,57 +831,110 @@ DECIDED = _decided_relays()
 @pytest.mark.parametrize("label,b,st", DECIDED, ids=[case[0] for case in DECIDED])
 def test_decided_baseline_relay_ignores_every_request_copy(label, b, st):
     assert st.req_done and st.phase == ACCEPTING
-    for ttl in range(P.ttl_init + 1):
-        for tx, tx_pos, pos in ((0, ORIGIN, (2900.0, 2500.0)), (1, (0.0, 0.0), (0.0, 0.0)),
-                                (9, (4999.0, 12.5), (2600.0, 2400.0))):
-            assert ignores_request(st), label
-            before = copy.deepcopy(st)
-            stream, twin = RandomStream(ttl), RandomStream(ttl)
-            assert b.on_delivery(st, req(tx=tx, ttl=ttl, tx_pos=tx_pos), 30.0 + ttl, pos,
-                                 stream) == []
-            assert st == before, (label, ttl, tx)
-            assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0), (label, ttl, tx)
+    for msg, pos in _request_copies():
+        assert b.ignores_request(st, msg), label
+        assert _effects(b, st, msg, 30.0 + msg.ttl, pos, msg.ttl) == ([], False, False), \
+            (label, msg)
 
 
-def _undecided_states():
-    """(label, state) for which a request copy may act, so the predicate must be false."""
+@pytest.mark.parametrize("make", [locate, basic, flood, lambda: FloodingBehavior(P, gated=True)],
+                         ids=["locate", "locate-basic", "flooding", "probabilistic"])
+def test_source_ignores_every_request_copy(make):
+    b = make()
+    st = source_state()
+    b.start_emergency(st, 0.0, ORIGIN, RandomStream(3))
+    for msg, pos in _request_copies():
+        assert b.ignores_request(st, msg)
+        assert _effects(b, st, msg, 30.0 + msg.ttl, pos, msg.ttl) == ([], False, False), msg
+
+
+def _acting_copies():
+    """(label, behavior, state, copy) where the copy acts, so the predicate must be false."""
     pos = (2900.0, 2500.0)
     b = flood()
-    solver = solver_state()
+    solver = solver_state()  # its reply sent, its reply slot is free again
     b.on_delivery(solver, req(), 0.4, pos, RandomStream(3))
-    solved = relay_state()
+    b.on_timer(solver, ACCEPT, 5.0, pos, RandomStream(4))
+    solved = relay_state()  # its cached reply relayed, its reply slot is free again
     b.on_delivery(solved, req(), 0.4, pos, RandomStream(3))
     b.on_delivery(solved, rep(ttl=14), 2.0, pos, RandomStream(4))
+    b.on_timer(solved, ACCEPT, 9.0, pos, RandomStream(5))
     spent_copy = relay_state()
     b.on_delivery(spent_copy, req(ttl=0), 0.4, pos, RandomStream(3))
-    source = source_state()
-    b.start_emergency(source, 0.0, ORIGIN, RandomStream(3))
-    cases = [("flooding solver", solver), ("flooding solved relay", solved),
-             ("flooding relay heard only ttl 0", spent_copy), ("flooding source", source)]
+    cases = [("flooding solver", b, solver, req()), ("flooding solved relay", b, solved, req()),
+             ("flooding relay heard only ttl 0", b, spent_copy, req())]
     for name, lb in (("locate", locate()), ("locate-basic", basic())):
         unaware = relay_state()
-        accepting = relay_state()
-        lb.on_delivery(accepting, req(), 0.4, pos, RandomStream(3))
+        # a relay in ACCEPTING ignores every copy; a solver that heard only a spent copy
+        # has no reply armed
+        accepting = solver_state()
+        lb.on_delivery(accepting, req(ttl=0), 0.4, pos, RandomStream(3))
         forwarding = relay_state()
         lb.on_delivery(forwarding, req(), 0.4, pos, RandomStream(3))
         lb.on_timer(forwarding, GUARD, 20.4, pos, RandomStream(4))
-        carrier = dtn_carrier(lb)
-        cases += [(f"{name} {st.phase}", st) for st in (unaware, accepting, forwarding, carrier)]
+        carrier = dtn_carrier(lb)  # stored ttl 15, so a ttl 16 copy is fresher
+        cases += [(f"{name} {st.phase}", lb, st, req())
+                  for st in (unaware, accepting, forwarding, carrier)]
         loc_solved = dtn_carrier(lb)
         lb.on_delivery(loc_solved, rep(ttl=14), 30.0, pos, RandomStream(6))
-        loc_source = source_state()
-        lb.start_emergency(loc_source, 0.0, ORIGIN, RandomStream(3))
-        cases += [(f"{name} solved", loc_solved), (f"{name} source", loc_source)]
-    frozen = dtn_carrier(locate())
-    locate().on_delivery(frozen, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
-    locate().on_delivery(frozen, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
-    cases.append(("locate frozen", frozen))
+        cases.append((f"{name} solved", lb, loc_solved, req()))
+    lb = locate()
+    cases.append(("locate carrier, new transmitter", lb, dtn_carrier(lb), req(tx=7, ttl=3)))
+    frozen = dtn_carrier(lb)
+    lb.on_delivery(frozen, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
+    lb.on_delivery(frozen, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
+    cases += [("locate frozen", lb, frozen, req(tx=9, ttl=3)),
+              ("locate frozen, fresher copy", lb, frozen, req(tx=7, ttl=16))]
     return cases
 
 
 def test_ignores_request_is_false_where_a_copy_may_act():
-    cases = _undecided_states()
-    phases = {st.phase for label, st in cases if label.startswith("locate ")}
+    cases = _acting_copies()
+    phases = {st.phase for label, b, st, msg in cases if label.startswith("locate ")}
     assert phases == {UNAWARE, ACCEPTING, FORWARDING, DTN_ACTIVE, DTN_FROZEN, SOLVED}
-    for label, st in cases:
-        assert not ignores_request(st), label
+    for label, b, st, msg in cases:
+        assert not b.ignores_request(st, msg), label
+        acts, changed, drew = _effects(b, st, msg, 40.0, (2900.0, 2500.0), 5)
+        assert acts or changed or drew, label
+
+
+run_configs = strategies.builds(
+    lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
+        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
+                       base_seed=seed, horizon_s=horizon_s,
+                       radio=lora_profile(pdr_model=pdr_model, interference=interference),
+                       params=ProtocolParams(ttl_init=ttl_init)),
+    n=strategies.integers(1, 12),
+    tau=strategies.floats(0.0, 1.0),
+    protocol=strategies.sampled_from(experiments.PROTOCOLS),
+    pdr_model=strategies.sampled_from((UNIT_DISK, SMOOTH)),
+    interference=strategies.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
+    ttl_init=strategies.integers(0, 6),
+    horizon_s=strategies.floats(1.0, 1800.0),
+    side_m=strategies.floats(300.0, 3000.0),
+    seed=strategies.integers(0, 2**31 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run_configs)
+def test_ignored_request_copies_change_nothing_in_a_run(config):
+    """Every request copy handed to `on_delivery` in a generated run with the skip off,
+    with the state it found: where `ignores_request` holds, the handler returns no
+    action, changes no field and draws nothing."""
+    cls = LocateBehavior if config.protocol.startswith("locate") else FloodingBehavior
+    on_delivery = cls.on_delivery
+    seen = []
+
+    def capturing(self, st, msg, t, pos, stream):
+        if msg.kind == E_REQ:
+            seen.append((self, copy.deepcopy(st), msg, t, pos))
+        return on_delivery(self, st, msg, t, pos, stream)
+
+    with mock.patch.object(cls, "on_delivery", capturing), \
+            mock.patch.object(cls, "ignores_request", lambda self, st, msg: False):
+        run_once(config, 0)
+    for b, st, msg, t, pos in seen:
+        if b.ignores_request(st, msg):
+            assert _effects(b, st, msg, t, pos, config.base_seed) == ([], False, False), \
+                (st, msg)
