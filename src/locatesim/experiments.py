@@ -147,20 +147,19 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
 
     A request copy to an aware node for which the behavior's `ignores_request`
     holds stops after the awareness bookkeeping, unless `trace` is given and the
-    node's phase entry is not logged yet. The predicate names the copies whose
-    handler would draw nothing, change no field and return no action: every
-    copy to the source; in `locate` and `locate-basic`, a relay in ACCEPTING, a
-    carrier (active or frozen) whose copy is no fresher than its stored one and,
-    in `locate`, from a carrier it has overheard, a solver whose copy has no hop
-    budget or whose reply slot is armed, and a solved relay with no reply to
-    give or its reply slot armed; in the baselines, a relay past its one relay
-    decision and not solved. Skipping its position, handler and interpretation
-    leaves every result as it was: its `waiting` and `able` flags move only with
-    its state. The phase condition keeps `trace=` lists as they were too: the
-    source enters DTN_ACTIVE at 0.0 but its entry is logged at its first handled
-    event, which may be a request copy; every other aware node logged its
-    phase when it last changed. The predicate is bound once per run from the
-    behavior, so a test can patch it off on the class.
+    node's phase entry is not logged yet. The predicate has two rules per
+    behavior, each naming copies whose handler would draw nothing, change no
+    field and return no action: every copy to the source, and in `locate` and
+    `locate-basic` a carrier (active or frozen) whose copy is no fresher than
+    its stored one and, in `locate`, from a carrier it has overheard, or in the
+    baselines a relay past its one relay decision and not solved. Skipping its
+    position, handler and interpretation leaves every result as it was: its
+    `waiting` and `able` flags move only with its state. The phase condition
+    keeps `trace=` lists as they were too: the source enters DTN_ACTIVE at 0.0
+    but its entry is logged at its first handled event, which may be a request
+    copy; every other aware node logged its phase when it last changed. The
+    predicate is bound once per run from the behavior, so a test can patch it
+    off on the class.
 
     A timer that pops for a node outside `able` is a spent carry tick: by
     `protocol.may_transmit`, the node's one armed timer is the DTN tick of a
@@ -447,8 +446,9 @@ def sweep(points: list[ScenarioConfig]) -> list[SweepRow]:
     """A row per config of `points`, in order, every point's runs on one pool.
 
     `run` is the one-point sweep `[config]`; `sweep_points` builds an axis sweep's
-    points, which share the base seed. Sharing seeds gives every row the same sequence
-    of worlds, so protocol comparisons at a point are paired rather than independent.
+    points, which share the base seed. Sharing seeds gives every row the same node
+    placement, roles and initial legs; later leg draws share the run stream with the
+    protocol's draws, so protocol comparisons at a point are only partly paired.
     """
     return [SweepRow(cfg.protocol, cfg.n, cfg.tau, cfg.params.p_start, results, agg)
             for cfg, (results, agg) in zip(points, run_batches(points))]

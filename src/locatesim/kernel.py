@@ -96,19 +96,5 @@ class RandomStream:
             raise ValueError(f"bernoulli probability {p} outside [0, 1]")
         return self._random() < p
 
-    def bernoulli_uniform(self, p: float, lo: float, hi: float) -> tuple[bool, float]:
-        """`(bernoulli(p), uniform(lo, hi))` in one call: the same checks, and the same
-        two draws in the same order."""
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"bernoulli probability {p} outside [0, 1]")
-        if not (lo <= hi):
-            raise ValueError(f"uniform bounds out of order: [{lo}, {hi})")
-        rand = self._random
-        coin = rand() < p
-        if lo == hi:
-            return coin, lo
-        u = lo + (hi - lo) * rand()
-        return coin, (u if u < hi else math.nextafter(hi, lo))
-
     def sample(self, population, k: int) -> list:
         return self._rng.sample(population, k)

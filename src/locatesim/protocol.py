@@ -274,29 +274,18 @@ class LocateBehavior(_SourceMixin):
 
     def ignores_request(self, st: EmergencyState, msg: Message) -> bool:
         """Whether `on_delivery` of the request copy msg would return no action, change
-        no field and draw nothing, read branch by branch from `_on_request`.
+        no field and draw nothing. True for the source, and for a carrier, active or
+        frozen, whose copy brings no news: no fresher than its stored one and, optimised
+        only, from a carrier it has overheard (`_on_request`'s two carrier tests negated).
 
-        True for the source; a non-solver relay in ACCEPTING; a carrier, active or
-        frozen, whose copy is no fresher than its stored one and (optimised only) comes
-        from a carrier it has already overheard; a solver past UNAWARE whose copy has no
-        hop budget or whose reply slot is armed; and a solved relay with no cached reply
-        to give or its reply slot armed. Never true before the node has stored a copy,
-        nor for an UNAWARE or FORWARDING relay.
+        Sound but not complete: the handler still takes the rare copies that change
+        nothing elsewhere, such as one to a relay in ACCEPTING.
         """
         if st.is_source:
             return True
-        stored = st.stored_req
-        if stored is None:
-            return False
         phase = st.phase
-        if st.is_solver:
-            return phase != UNAWARE and (msg.ttl < 1 or ACCEPT in st.live)
-        if phase == DTN_ACTIVE or phase == DTN_FROZEN:
-            return msg.ttl <= stored.ttl and (not self.dtn_optimized or msg.tx in st.overheard)
-        if phase == SOLVED:
-            rep = st.cached_rep
-            return rep is None or rep.ttl < 1 or ACCEPT in st.live
-        return phase == ACCEPTING
+        return (phase == DTN_ACTIVE or phase == DTN_FROZEN) and msg.ttl <= st.stored_req.ttl \
+            and (not self.dtn_optimized or msg.tx in st.overheard)
 
     def _on_request(self, st: EmergencyState, msg: Message, t: float,
                     pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
@@ -321,23 +310,19 @@ class LocateBehavior(_SourceMixin):
             # someone else is already spreading this request: stand down and carry
             _cancel(st, acts, FORWARD)
             self._enter_dtn(st, t, stream, acts)
-        elif st.phase == DTN_ACTIVE:
+        elif st.phase == DTN_ACTIVE or st.phase == DTN_FROZEN:
             if self.dtn_optimized and msg.tx not in st.overheard:
                 st.overheard.add(msg.tx)
-                if len(st.overheard) >= 2:
-                    self._freeze(st, t, pos, acts)
-                else:
-                    # first competing carrier: back off to a fresh period
-                    _cancel(st, acts, DTN)
-                    self._arm_dtn(st, acts, t,
-                                  stream.uniform(self.params.cw_min_s, self.params.cw_max_s))
+                if st.phase == DTN_ACTIVE:  # a frozen carrier only counts it
+                    if len(st.overheard) >= 2:
+                        self._freeze(st, t, pos, acts)
+                    else:
+                        # first competing carrier: back off to a fresh period
+                        _cancel(st, acts, DTN)
+                        self._arm_dtn(st, acts, t, stream.uniform(self.params.cw_min_s,
+                                                                  self.params.cw_max_s))
             if msg.ttl > st.stored_req.ttl:
-                st.stored_req = msg  # fresher copy: adopt its larger hop budget
-        elif st.phase == DTN_FROZEN:
-            if self.dtn_optimized and msg.tx not in st.overheard:
-                st.overheard.add(msg.tx)
-            if msg.ttl > st.stored_req.ttl:
-                st.stored_req = msg  # budget adopted now, spent after thawing
+                st.stored_req = msg  # fresher copy: its budget is spent now or after thawing
         elif st.phase == SOLVED:
             # answer with the cached reply after the same close-biased wait;
             # demand-bounded by request traffic, so no cooldown applies here
@@ -408,7 +393,8 @@ class LocateBehavior(_SourceMixin):
             p = self._carry_p.get(heard)
             if p is None:
                 p = self._carry_p[heard] = dtn_forward_probability(self.params.p_start, heard)
-        coin, period = stream.bernoulli_uniform(p, self.params.cw_min_s, self.params.cw_max_s)
+        coin = stream.bernoulli(p)
+        period = stream.uniform(self.params.cw_min_s, self.params.cw_max_s)
         st.dtn_fire_at = t + period
         return coin, period
 

@@ -1,7 +1,10 @@
 """Acceptance gate: one test per release criterion, 200 runs per data point.
 
 Every Monte Carlo point shares base seed 1, a 5 km x 5 km arena, and the
-default protocol parameters, so comparisons between schemes are paired.
+default protocol parameters. Schemes at one point share node placement, roles
+and initial legs, but later leg draws share each run's stream with the scheme's
+own draws, so comparisons are only partly paired: the paired correlation is
+0.79 for criterion 4's overhead and 0.35 for criterion 5's resolution time.
 Each test prints a single criterion verdict line with the measured numbers.
 """
 

@@ -1,7 +1,6 @@
 """Event queue ordering/cancellation and seeded random stream behavior."""
 
 import math
-import random
 
 import pytest
 
@@ -126,25 +125,3 @@ def test_bernoulli_rate_tracks_probability():
     s = RandomStream(11)
     hits = sum(s.bernoulli(0.3) for _ in range(20000))
     assert math.isclose(hits / 20000.0, 0.3, abs_tol=0.02)
-
-
-def test_bernoulli_uniform_draws_as_bernoulli_then_uniform():
-    one_ulp = math.nextafter(1.0, 2.0)  # any second draw above 1/2 rounds up to hi here
-    rounded_up = 0
-    for lo, hi in ((5.0, 20.0), (3.0, 3.0), (1.0, one_ulp)):
-        for p in (0.0, 0.3, 1.0):
-            for seed in range(20):
-                one, two = RandomStream(seed), RandomStream(seed)
-                coin, u = one.bernoulli_uniform(p, lo, hi)
-                assert (coin, u) == (two.bernoulli(p), two.uniform(lo, hi))
-                assert lo <= u < hi or u == lo == hi
-                assert one.uniform(0.0, 1.0) == two.uniform(0.0, 1.0)  # as many draws made
-                raw = random.Random(seed)
-                raw.random()
-                rounded_up += lo < hi and lo + (hi - lo) * raw.random() >= hi
-    assert rounded_up
-    s = RandomStream(7)
-    with pytest.raises(ValueError, match="bernoulli"):
-        s.bernoulli_uniform(1.5, 0.0, 1.0)
-    with pytest.raises(ValueError, match="uniform"):
-        s.bernoulli_uniform(0.5, 2.0, 1.0)

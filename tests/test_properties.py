@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_ENV,
                                    ScenarioConfig, run_batches, run_once)
-from locatesim.kernel import EventQueue, RandomStream
+from locatesim.kernel import FREEZE_POLL, EventQueue, RandomStream
 from locatesim.protocol import (E_REQ, SOLVED, FloodingBehavior, LocateBehavior,
                                 ProtocolParams)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
@@ -161,8 +161,11 @@ def positive(lo, hi):
 @st.composite
 def any_scenario(draw):
     """The fields of any scenario, extreme finite floats included, as (scenario, radio,
-    params, windows): horizons up to an hour and cw_max = horizon / windows."""
-    horizon = draw(st.floats(min_value=0.0, max_value=3600.0, exclude_min=True))
+    params, windows): horizons up to an hour, or up to the 1e6 s floor for at most 3 nodes
+    in arenas of at least 1 km so leg ends stay few, and cw_max = horizon / windows."""
+    long = draw(st.integers(0, 3)) == 3
+    horizon = draw(st.floats(min_value=0.0, max_value=1e6 * POLL_PERIOD_S if long else 3600.0,
+                             exclude_min=True))
     windows = draw(windows_per_horizon)
     cw_max = horizon / windows
     radio = dict(range_m=draw(positive(50.0, 2000.0)), airtime_s=draw(positive(0.01, 2.0)),
@@ -175,8 +178,9 @@ def any_scenario(draw):
                   radius_m=draw(positive(10.0, 2000.0)), dtn_dist_m=draw(positive(1.0, 200.0)),
                   p_start=draw(probability), q_flood=draw(probability),
                   ttl_init=draw(st.integers(0, 16)), e_thr_s=draw(positive(1.0, 3600.0)))
-    scenario = dict(n=draw(st.integers(0, 8)), tau=draw(st.floats(0.0, 1.0)),
-                    protocol=draw(st.sampled_from(PROTOCOLS)), side_m=draw(st.floats(1.0, 5000.0)),
+    scenario = dict(n=draw(st.integers(0, 3 if long else 8)), tau=draw(st.floats(0.0, 1.0)),
+                    protocol=draw(st.sampled_from(PROTOCOLS)),
+                    side_m=draw(st.floats(1000.0 if horizon > 3600.0 else 1.0, 5000.0)),
                     base_seed=draw(st.integers(0, 2**31 - 1)), horizon_s=horizon)
     return scenario, radio, params, windows
 
@@ -189,16 +193,27 @@ def any_scenario(draw):
 # gamma * d and d / radius overflow together in every contention window
 @example(({"n": 10, "tau": 0.5, "protocol": "locate", "side_m": 500.0, "base_seed": 1,
            "horizon_s": 600.0}, {}, {"gamma_per_m": 1e308, "radius_m": 1e-307}, 30.0))
+# two carriers hear each other and the source and freeze for good, so their polls walk
+# the lattice to the horizon: the 1e6 s floor, and ten times it
+@example(({"n": 2, "tau": 0.0, "protocol": "locate", "side_m": 1000.0, "base_seed": 1,
+           "horizon_s": 1e6}, {"range_m": 2000.0},
+          {"cw_min_s": 500.0, "cw_max_s": 1e3, "dtn_dist_m": 1e300}, 1e3))
+@example(({"n": 2, "tau": 0.0, "protocol": "locate", "side_m": 1000.0, "base_seed": 1,
+           "horizon_s": 1e7}, {"range_m": 2000.0},
+          {"cw_min_s": 5e3, "cw_max_s": 1e4, "dtn_dist_m": 1e300}, 1e3))
 def test_every_accepted_config_ends_within_an_event_budget(drawn):
-    """Every config `ScenarioConfig` accepts ends within a number of popped events set by
-    its windows per horizon, its leg ends and its 1 s freeze polls.
+    """Every config `ScenarioConfig` accepts ends within a number of popped events and
+    poll lattice steps set by its windows per horizon, its leg ends and its 1 s polls.
 
     Each transmission is popped from a timer, and a request heard by n nodes can arm at
     most n replies, so timers and deliveries stay within a multiple of (n + 1) ** 2 per
     window; the source's beacon period averages at least cw_max / 2. A node walks at
     most SPEED_MAX, and a leg crosses the arena, so its leg ends stay within a multiple
-    of horizon * SPEED_MAX / side. A config past the 1e6-window floor gets the budget of
-    1e3 windows: were it accepted, it would exhaust it rather than run for hours.
+    of horizon * SPEED_MAX / side. A node's START_POLL walks start no earlier than its
+    last poll's tick and end by horizon + 1 s, so its polls and the lattice steps they
+    walk cover its lattice at most twice. A config past the 1e6-window floor gets the
+    budget of 1e3 windows, and one past the 1e6 s horizon floor the lattice of that
+    floor: were it accepted, it would exhaust them rather than run for hours.
     """
     scenario, radio, params, windows = drawn
     try:
@@ -209,18 +224,29 @@ def test_every_accepted_config_ends_within_an_event_budget(drawn):
     n = config.n
     horizon = config.horizon_s
     budget = 10 * ((n + 1) ** 2 * (min(windows, 1e3) + 1)
-                   + n * (horizon * SPEED_MAX / config.side_m + horizon / POLL_PERIOD_S + 1))
-    popped = 0
-    pop = EventQueue.pop
+                   + n * (horizon * SPEED_MAX / config.side_m + 1)) \
+        + 2 * n * (min(horizon, 1e6 * POLL_PERIOD_S) / POLL_PERIOD_S + 1)
+    spent = 0.0
+
+    def count(steps):
+        nonlocal spent
+        spent += steps
+        if spent > budget:
+            raise AssertionError(f"{spent:.0f} events and lattice steps, budget {budget:.0f}")
+
+    pop, schedule = EventQueue.pop, EventQueue.schedule
 
     def counted_pop(queue):
-        nonlocal popped
-        popped += 1
-        if popped > budget:
-            raise AssertionError(f"{popped} events, budget {budget:.0f}")
+        count(1)
         return pop(queue)
 
-    with mock.patch.object(EventQueue, "pop", counted_pop):
+    def counted_schedule(queue, time, kind, node, data=None):
+        if kind == FREEZE_POLL:  # the ticks its START_POLL walked to reach time
+            count((time - queue.now) / POLL_PERIOD_S)
+        return schedule(queue, time, kind, node, data)
+
+    with mock.patch.object(EventQueue, "pop", counted_pop), \
+            mock.patch.object(EventQueue, "schedule", counted_schedule):
         result = run_once(config, 0)
     assert result.end_time_s <= horizon
 

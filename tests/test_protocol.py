@@ -865,7 +865,7 @@ def _acting_copies():
              ("flooding relay heard only ttl 0", b, spent_copy, req())]
     for name, lb in (("locate", locate()), ("locate-basic", basic())):
         unaware = relay_state()
-        # a relay in ACCEPTING ignores every copy; a solver that heard only a spent copy
+        # no copy acts on a relay in ACCEPTING; a solver that heard only a spent copy
         # has no reply armed
         accepting = solver_state()
         lb.on_delivery(accepting, req(ttl=0), 0.4, pos, RandomStream(3))
