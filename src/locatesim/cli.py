@@ -127,8 +127,11 @@ def scenario_from_settings(settings: dict[str, str]) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def sweep_plan(settings: dict[str, str]) -> tuple[str | None, list[float], list[str]]:
+def sweep_plan(settings: dict[str, str]) -> tuple[str, list[float], list[str]]:
     """Parse the sweep settings; `sweep_points` and `ScenarioConfig` check them."""
+    axis = settings.get("sweep_axis")
+    if not axis:
+        raise ConfigError("missing required setting `sweep_axis`")
     raw_values = settings.get("sweep_values", "")
     try:
         values = [float(v) for v in raw_values.split(",") if v.strip()]
@@ -138,7 +141,7 @@ def sweep_plan(settings: dict[str, str]) -> tuple[str | None, list[float], list[
     if not values:
         raise ConfigError("missing required setting `sweep_values`")
     names = [p.strip() for p in settings.get("protocols", "").split(",") if p.strip()]
-    return settings.get("sweep_axis"), values, names
+    return axis, values, names
 
 
 # -- output -----------------------------------------------------------------

@@ -38,10 +38,6 @@ PROTOCOLS = tuple(_BEHAVIORS)
 # movement check lattice while a carrier is frozen: ticks that cannot thaw it are skipped
 POLL_PERIOD_S = 1.0
 
-# spent carry ticks re-arm without `on_timer` (see run_once); False hands every timer to the
-# handler, with the same results and `trace=` lists
-SHORT_SPENT_TICKS = True
-
 SOURCE_ID = 0
 
 
@@ -146,20 +142,18 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     top, between events.
 
     A request copy to an aware node for which the behavior's `ignores_request`
-    holds stops after the awareness bookkeeping, unless `trace` is given and the
-    node's phase entry is not logged yet. The predicate has two rules per
-    behavior, each naming copies whose handler would draw nothing, change no
-    field and return no action: every copy to the source, and in `locate` and
-    `locate-basic` a carrier (active or frozen) whose copy is no fresher than
-    its stored one and, in `locate`, from a carrier it has overheard, or in the
-    baselines a relay past its one relay decision and not solved. Skipping its
-    position, handler and interpretation leaves every result as it was: its
-    `waiting` and `able` flags move only with its state. The phase condition
-    keeps `trace=` lists as they were too: the source enters DTN_ACTIVE at 0.0
-    but its entry is logged at its first handled event, which may be a request
-    copy; every other aware node logged its phase when it last changed. The
-    predicate is bound once per run from the behavior, so a test can patch it
-    off on the class.
+    holds stops after the awareness bookkeeping, traced or not. The predicate
+    has two rules per behavior, each naming copies whose handler would draw
+    nothing, change no field and return no action: every copy to the source,
+    and in `locate` and `locate-basic` a carrier (active or frozen) whose copy
+    is no fresher than its stored one and, in `locate`, from a carrier it has
+    overheard, or in the baselines a relay past its one relay decision and not
+    solved. Skipping its position, handler and interpretation leaves every
+    result as it was: its `waiting` and `able` flags move only with its state.
+    A skipped copy still logs the phase entry its node owes, as the handler
+    tail would: only the source can owe one, its DTN_ACTIVE from
+    `start_emergency`. The predicate is bound once per run from the behavior,
+    so a test can patch it off on the class.
 
     A timer that pops for a node outside `able` is a spent carry tick: by
     `protocol.may_transmit`, the node's one armed timer is the DTN tick of a
@@ -169,8 +163,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     tick at t + period and goes to the next event. That is exact: the same two
     draws happen in the same order at the same event, the tick changes no
     phase (its entry was logged when the phase changed), and `waiting` and
-    `able` cannot move without a change of state. `SHORT_SPENT_TICKS = False`
-    hands every timer to `on_timer`, so a test can compare the two.
+    `able` cannot move without a change of state. Patching `may_transmit` to
+    always hold turns off both this path and the quiescence exit.
 
     A broadcast that reaches anyone is one DELIVERY event at t + airtime.
     This is exactly one event per copy: such copies would share the time and
@@ -202,7 +196,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     on_freeze_poll = behavior.on_freeze_poll
     ignores_request = behavior.ignores_request
     carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
-    short_ticks = SHORT_SPENT_TICKS
     states: dict[int, EmergencyState] = {}
     polls: set[int] = set()  # nodes with a freeze poll in the queue
     busy: dict[int, list[tuple[float, float]]] = {}
@@ -282,7 +275,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             end_time = horizon
             break
         t, kind, node, data = pop()
-        if kind == TIMER and node not in able and short_ticks:
+        if kind == TIMER and node not in able:
             # a spent carry tick (see may_transmit): the handler's two draws and the re-arm of
             # its slot (data, DTN) are all it would do
             st = states[node]
@@ -313,11 +306,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                         waiting.add(node)  # dropped again below if the node is already solved
                         if trace is not None:
                             trace.append(("aware", t, node))
-                    # an aware node has a state; past its first handled event its phase
-                    # entry is logged
-                    elif ignores_request(st, msg) and (trace is None
-                                                       or phase_seen.get(node) == st.phase):
-                        continue  # its handler would draw and change nothing
+                    elif ignores_request(st, msg):  # an aware node has a state
+                        # its handler would draw and change nothing; only the source can
+                        # still owe a phase entry, DTN_ACTIVE from start_emergency
+                        if trace is not None and st.phase != phase_seen.get(node):
+                            phase_seen[node] = st.phase
+                            trace.append(("phase", t, node, st.phase))
+                        continue
                 elif node == SOURCE_ID and ert is None:
                     ert = t
             if st is None:

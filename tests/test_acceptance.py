@@ -5,39 +5,51 @@ default protocol parameters. Schemes at one point share node placement, roles
 and initial legs, but later leg draws share each run's stream with the scheme's
 own draws, so comparisons are only partly paired: the paired correlation is
 0.79 for criterion 4's overhead and 0.35 for criterion 5's resolution time.
-Each test prints a single criterion verdict line with the measured numbers.
+Each test prints a single criterion verdict line with the measured numbers;
+a comparative one adds its paired ratio with a 95% interval (`paired.py`).
 """
 
 import math
 
 from locatesim.cli import main, selftest_report
-from locatesim.experiments import Aggregate, ScenarioConfig, run_batch, run_once
+from locatesim.experiments import Aggregate, RunResult, ScenarioConfig, run_batch, run_once
 from locatesim.kernel import RandomStream
 from locatesim.protocol import (DTN_ACTIVE, E_REQ, SOLVED, ProtocolParams,
                                 acceptance_window, forwarding_window)
 from locatesim.radio import lora_profile, wifi_profile
 from locatesim.world import World
 
+from paired import eo_ratio, ert_ratio
 from topologies import line_world
 
 RUNS = 200
 SEED = 1
 TAUS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
-_CACHE: dict[tuple, Aggregate] = {}
+_CACHE: dict[tuple, tuple[list[RunResult], Aggregate]] = {}
 
 
-def point(protocol: str = "locate", n: int = 40, tau: float = 0.15,
-          radio: str = "lora", **params) -> Aggregate:
-    """Aggregate for one cached Monte Carlo point."""
+def batch(protocol: str = "locate", n: int = 40, tau: float = 0.15,
+          radio: str = "lora", **params) -> tuple[list[RunResult], Aggregate]:
+    """Runs and aggregate of one cached Monte Carlo point."""
     key = (protocol, n, tau, radio, tuple(sorted(params.items())))
     if key not in _CACHE:
         cfg = ScenarioConfig(
             protocol=protocol, n=n, tau=tau, runs=RUNS, base_seed=SEED,
             radio=wifi_profile() if radio == "wifi" else lora_profile(),
             params=ProtocolParams(**params))
-        _CACHE[key] = run_batch(cfg)[1]
+        _CACHE[key] = run_batch(cfg)
     return _CACHE[key]
+
+
+def point(*args, **kwargs) -> Aggregate:
+    """Aggregate for one cached Monte Carlo point."""
+    return batch(*args, **kwargs)[1]
+
+
+def runs(*args, **kwargs) -> list[RunResult]:
+    """Results of one cached Monte Carlo point, in run order."""
+    return batch(*args, **kwargs)[0]
 
 
 def verdict(num: int, ok: bool, details: str) -> None:
@@ -54,6 +66,7 @@ def test_c1_closed_form_values_match_frozen_references():
 def test_c2_locate_resolves_faster_than_flooding_and_probabilistic():
     problems = []
     gaps = []
+    paired = []
     for tau in TAUS:
         ours = point("locate", tau=tau)
         for name in ("flooding", "probabilistic"):
@@ -69,11 +82,14 @@ def test_c2_locate_resolves_faster_than_flooding_and_probabilistic():
                 gap = ((other.ert_mean_s - other.ert_ci95_s)
                        - (ours.ert_mean_s + ours.ert_ci95_s))
                 gaps.append(f"{name[:5]}@{tau:.2f} +{gap:.0f}s")
+                paired.append(f"{name[:5]}@{tau:.2f} "
+                              f"{ert_ratio(runs('locate', tau=tau), runs(name, tau=tau))}")
                 if gap <= 0.0:
                     problems.append(f"tau={tau:.2f}: CI overlap vs {name} ({gap:.0f}s)")
     verdict(2, not problems,
-            "; ".join(problems) if problems
-            else f"fastest at all {len(TAUS)} solver fractions, CI gaps {', '.join(gaps)}")
+            ("; ".join(problems) if problems
+             else f"fastest at all {len(TAUS)} solver fractions, CI gaps {', '.join(gaps)}")
+            + f"; paired locate/other resolution time {', '.join(paired)}")
 
 
 def test_c3_success_rate_with_many_solvers():
@@ -92,7 +108,9 @@ def test_c4_carry_management_cuts_overhead_but_stays_near_flooding():
     bounded = flood_ratio <= 3.0
     verdict(4, saves and bounded,
             f"basic/full overhead {ratio:.3f} (need >= 1.2, basic {basic.eo_mean:.1f} "
-            f"vs full {full.eo_mean:.1f}); full/flooding {flood_ratio:.2f} (need <= 3)")
+            f"vs full {full.eo_mean:.1f}); full/flooding {flood_ratio:.2f} (need <= 3); "
+            f"paired basic/full {eo_ratio(runs('locate-basic'), runs('locate'))}, "
+            f"full/flooding {eo_ratio(runs('locate'), runs('flooding'))}")
 
 
 def test_c5_sparse_network_speedup_over_flooding():
@@ -101,7 +119,8 @@ def test_c5_sparse_network_speedup_over_flooding():
     ratio = ours.ert_mean_s / flood.ert_mean_s
     verdict(5, ratio <= 0.7,
             f"resolution-time ratio {ratio:.3f} at n=5 (need <= 0.7, "
-            f"locate {ours.ert_mean_s:.0f}s vs flooding {flood.ert_mean_s:.0f}s)")
+            f"locate {ours.ert_mean_s:.0f}s vs flooding {flood.ert_mean_s:.0f}s); "
+            f"paired {ert_ratio(runs('locate', n=5), runs('flooding', n=5))}")
 
 
 def test_c6_short_range_radio_is_slower_and_less_reliable():
@@ -120,7 +139,10 @@ def test_c7_carry_probability_trades_overhead_not_latency():
     deviation = abs(high.ert_mean_s - low.ert_mean_s) / low.ert_mean_s
     verdict(7, deviation <= 0.15 and high.eo_mean > low.eo_mean,
             f"resolution-time shift {deviation:.3f} (need <= 0.15); overhead "
-            f"{high.eo_mean:.1f} > {low.eo_mean:.1f} at the higher carry probability")
+            f"{high.eo_mean:.1f} > {low.eo_mean:.1f} at the higher carry probability; "
+            f"paired high/low resolution time "
+            f"{ert_ratio(runs('locate', p_start=0.8), runs('locate'))}, "
+            f"overhead {eo_ratio(runs('locate', p_start=0.8), runs('locate'))}")
 
 
 def test_c8_identical_seeds_give_byte_identical_outputs(tmp_path):

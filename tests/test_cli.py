@@ -353,6 +353,8 @@ def test_main_horizon_past_1e6_poll_periods_exits_2(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("key,value,message", [
     ("sweep_axis", "side", "unknown sweep axis 'side', expected one of ('tau', 'n', 'p_start')"),
     ("protocols", "gossip", "unknown protocol 'gossip', expected one of"),
+    ("sweep_axis", None, "missing required setting `sweep_axis`"),  # None leaves it out
+    ("sweep_values", None, "missing required setting `sweep_values`"),
 ])
 def test_main_bad_sweep_setting_exits_2_before_simulating(key, value, message, tmp_path,
                                                             monkeypatch, capsys):
@@ -360,7 +362,7 @@ def test_main_bad_sweep_setting_exits_2_before_simulating(key, value, message, t
     settings = {"n": "5", "tau": "0.2", "runs": "1", "sweep_axis": "tau",
                 "sweep_values": "0.1", key: value}
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items() if v is not None))
     out_dir = tmp_path / "sw"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err

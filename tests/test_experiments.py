@@ -18,6 +18,7 @@ from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, Lo
                                ProtocolParams)
 from locatesim.radio import lora_profile
 from locatesim.world import Role
+from paired import eo_ratio
 from topologies import line_world, pair_world, static_world, walking
 
 
@@ -595,6 +596,10 @@ def test_transmitted_ttls_stay_within_the_initial_budget():
 def test_full_dtn_optimization_does_not_raise_overhead():
     # statistical dominance check over 200 paired runs
     cfg = ScenarioConfig(n=40, tau=0.15, runs=200, base_seed=1)
-    _, full = run_batch(dataclasses.replace(cfg, protocol="locate"))
-    _, plain = run_batch(dataclasses.replace(cfg, protocol="locate-basic"))
+    full_runs, full = run_batch(dataclasses.replace(cfg, protocol="locate"))
+    plain_runs, plain = run_batch(dataclasses.replace(cfg, protocol="locate-basic"))
+    ok = full.eo_mean <= plain.eo_mean
+    print(f"dtn optimization: {'PASS' if ok else 'FAIL'} - full {full.eo_mean:.1f} vs basic "
+          f"{plain.eo_mean:.1f} requests per run (need full <= basic); "
+          f"paired full/basic {eo_ratio(full_runs, plain_runs)}")
     assert full.eo_mean <= plain.eo_mean

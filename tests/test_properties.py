@@ -109,16 +109,25 @@ locate_configs = st.builds(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(locate_configs)
+# two carriers with no hop budget left freeze, so the run goes quiet at 134.8 s; its twin
+# logs their thaws at 154.8 s and 168.8 s and runs on to the horizon
+@example(ScenarioConfig(n=8, tau=0.15679618517064975, side_m=1057.870888087286, runs=1,
+                        base_seed=1094722295, horizon_s=2102.5939863108006,
+                        radio=lora_profile(pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION),
+                        params=ProtocolParams(ttl_init=2)))
 def test_short_spent_carry_ticks_change_no_run(config):
-    """Re-arming a spent carrier's tick through `carry_tick` alone gives the same result
-    and `trace=` list as handing every timer to `on_timer`."""
+    """Re-arming a spent carrier's tick through `carry_tick` alone, and the quiescent
+    exit, give the same result as the run's never-quiescent twin, which hands every timer
+    to `on_timer` and runs on to resolution or the horizon; after the shipped `trace=`
+    list, the twin's logs only phase entries."""
     trace: list = []
     result = run_once(config, 0, trace=trace)
-    with mock.patch("locatesim.experiments.SHORT_SPENT_TICKS", False):
-        every_trace: list = []
-        every = run_once(config, 0, trace=every_trace)
-    assert result == every
-    assert trace == every_trace
+    with mock.patch("locatesim.experiments.may_transmit", lambda st: True):
+        twin_trace: list = []
+        twin = run_once(config, 0, trace=twin_trace)
+    assert result == twin
+    assert twin_trace[:len(trace)] == trace
+    assert all(entry[0] == "phase" for entry in twin_trace[len(trace):])
 
 
 def never_ignores(self, st, msg):
@@ -127,8 +136,9 @@ def never_ignores(self, st, msg):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(flooding_configs, locate_configs))
-# a relayed copy reaches the source before its first beacon timer, so its phase entry is
-# not logged yet: run 2 of the trace digest's flooding n=40 at base seed 7 (7 ^ 2 = 5)
+# a relayed copy reaches the source before its first beacon timer, so the skipped copy
+# logs the source's phase entry: run 2 of the trace digest's flooding n=40 at base seed 7
+# (7 ^ 2 = 5)
 @example(ScenarioConfig(n=40, protocol="flooding", runs=1, base_seed=5))
 def test_skipping_ignored_request_copies_changes_no_run(config):
     """The DELIVERY walk's skip of copies that the behavior's `ignores_request` says
@@ -162,25 +172,34 @@ def positive(lo, hi):
 def any_scenario(draw):
     """The fields of any scenario, extreme finite floats included, as (scenario, radio,
     params, windows): horizons up to an hour, or up to the 1e6 s floor for at most 3 nodes
-    in arenas of at least 1 km so leg ends stay few, and cw_max = horizon / windows."""
+    in arenas of at least 1 km so leg ends stay few, and cw_max = horizon / windows. One
+    long horizon in two runs `locate` with range and thaw distance past the arena's
+    diagonal: carriers that hear each other freeze for good, and their polls walk the
+    lattice to the horizon."""
     long = draw(st.integers(0, 3)) == 3
     horizon = draw(st.floats(min_value=0.0, max_value=1e6 * POLL_PERIOD_S if long else 3600.0,
                              exclude_min=True))
-    windows = draw(windows_per_horizon)
+    side = draw(st.floats(1000.0 if horizon > 3600.0 else 1.0, 5000.0))
+    never_thaws = long and draw(st.booleans())
+    past_diagonal = st.floats(1.5 * side, 1e300)
+    windows = draw(st.floats(1.0, 1e3) if never_thaws else windows_per_horizon)
     cw_max = horizon / windows
-    radio = dict(range_m=draw(positive(50.0, 2000.0)), airtime_s=draw(positive(0.01, 2.0)),
+    radio = dict(range_m=draw(past_diagonal if never_thaws else positive(50.0, 2000.0)),
+                 airtime_s=draw(positive(0.01, 2.0)),
                  beta=draw(positive(0.5, 8.0)),
                  pdr_model=draw(st.sampled_from((UNIT_DISK, SMOOTH))),
                  interference=draw(st.sampled_from((INTERFERENCE_NONE,
                                                     INTERFERENCE_COLLISION))))
     params = dict(cw_min_s=cw_max * draw(st.floats(0.0, 1.0, exclude_max=True)),
                   cw_max_s=cw_max, gamma_per_m=draw(positive(1e-4, 0.1)),
-                  radius_m=draw(positive(10.0, 2000.0)), dtn_dist_m=draw(positive(1.0, 200.0)),
+                  radius_m=draw(positive(10.0, 2000.0)),
+                  dtn_dist_m=draw(past_diagonal if never_thaws else positive(1.0, 200.0)),
                   p_start=draw(probability), q_flood=draw(probability),
                   ttl_init=draw(st.integers(0, 16)), e_thr_s=draw(positive(1.0, 3600.0)))
-    scenario = dict(n=draw(st.integers(0, 3 if long else 8)), tau=draw(st.floats(0.0, 1.0)),
-                    protocol=draw(st.sampled_from(PROTOCOLS)),
-                    side_m=draw(st.floats(1000.0 if horizon > 3600.0 else 1.0, 5000.0)),
+    scenario = dict(n=draw(st.integers(2 if never_thaws else 0, 3 if long else 8)),
+                    tau=draw(st.floats(0.0, 1.0)),
+                    protocol="locate" if never_thaws else draw(st.sampled_from(PROTOCOLS)),
+                    side_m=side,
                     base_seed=draw(st.integers(0, 2**31 - 1)), horizon_s=horizon)
     return scenario, radio, params, windows
 

@@ -467,13 +467,18 @@ def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
 
     monkeypatch.setattr(LocateBehavior, "on_timer", counted_on_timer)
     monkeypatch.setattr(EventQueue, "pop", counted_pop)
-    runs = []
-    for short in (True, False):
-        monkeypatch.setattr(experiments, "SHORT_SPENT_TICKS", short)
+
+    def counted_run():
         counts.update(handled=0, timers=0)
-        runs.append((run_once(config, 0), dict(counts)))
-    (short_run, short_counts), (full_run, full_counts) = runs
+        trace = []
+        return run_once(config, 0, trace=trace), trace, dict(counts)
+
+    short_run, short_trace, short_counts = counted_run()
+    # the never-quiescent twin hands every timer to on_timer
+    monkeypatch.setattr(experiments, "may_transmit", lambda st: True)
+    full_run, full_trace, full_counts = counted_run()
     assert short_run == full_run
+    assert short_trace == full_trace  # the source never goes quiet, so neither run does
     assert short_counts["timers"] == full_counts["timers"] == full_counts["handled"]
     assert short_counts["handled"] < short_counts["timers"] / 2
 
