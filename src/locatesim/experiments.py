@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStream
-from .protocol import (CANCEL_TIMER, E_REQ, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
+from .protocol import (CANCEL_TIMER, E_REQ, POLL, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                        EmergencyState, FloodingBehavior, LocateBehavior, ProtocolParams,
                        may_transmit)
 from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
@@ -121,16 +121,15 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     time are final. In a world with a mobile node the queue would then hold
     only leg ends and idle ticks until the horizon, so the run stops with
     end_time_s = horizon_s; a static world stops with the event after which
-    nothing could transmit.
+    nothing could transmit. Each node that may transmit has a timer in `live`,
+    and each is queued, so the queue cannot drain first.
 
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
-    it is dtn_dist from its anchor. Each START_POLL carries the metres still
-    left; no node outruns max(SPEED_MAX, its current leg speed), so the ticks
-    before it could have gone that far are skipped rather than popped. The
-    lattice is still built by repeated addition, so the tick that thaws it is
-    the same float as with every tick popped. A node keeps at most one poll in
-    the queue: one still armed is reused, and a solved carrier's leftover poll
-    pops and does nothing.
+    it is dtn_dist from its anchor. START_POLL carries the metres still left
+    and arms the node's POLL slot at the first tick it could reach: no node
+    outruns max(SPEED_MAX, its current leg speed). The lattice is still built
+    by repeated addition, so the thawing tick is the same float as with every
+    tick popped.
 
     Every node an event reaches takes one path: a DELIVERY supplies its
     receivers in `broadcast`'s order, a TIMER or FREEZE_POLL its own node (a
@@ -156,15 +155,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     so a test can patch it off on the class.
 
     A timer that pops for a node outside `able` is a spent carry tick: by
-    `protocol.may_transmit`, the node's one armed timer is the DTN tick of a
-    non-source carrier in DTN_ACTIVE whose stored request has no hop budget
-    (baselines never have one). It calls `LocateBehavior.carry_tick`, which
-    `on_timer` also uses to draw the coin and then the period, re-arms the
-    tick at t + period and goes to the next event. That is exact: the same two
-    draws happen in the same order at the same event, the tick changes no
-    phase (its entry was logged when the phase changed), and `waiting` and
-    `able` cannot move without a change of state. Patching `may_transmit` to
-    always hold turns off both this path and the quiescence exit.
+    `protocol.may_transmit`, the DTN tick of a non-source carrier in
+    DTN_ACTIVE whose stored request has no hop budget (a poll pops as a
+    FREEZE_POLL; baselines never have one). It re-arms at t plus the period
+    that `LocateBehavior.carry_tick` draws after the coin, as `on_timer`
+    would. That is exact: the same two draws happen at the same event, the
+    tick changes no phase, and `waiting` and `able` cannot move without a
+    change of state. Patching `may_transmit` to always hold turns off both
+    this path and the quiescence exit.
 
     A broadcast that reaches anyone is one DELIVERY event at t + airtime.
     This is exactly one event per copy: such copies would share the time and
@@ -197,7 +195,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     ignores_request = behavior.ignores_request
     carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
     states: dict[int, EmergencyState] = {}
-    polls: set[int] = set()  # nodes with a freeze poll in the queue
     busy: dict[int, list[tuple[float, float]]] = {}
     aware = {SOURCE_ID}
     waiting = {SOURCE_ID}  # aware and not yet solved
@@ -233,14 +230,12 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             elif op == CANCEL_TIMER:
                 queue.cancel(act[2])
             elif op == START_POLL:
-                if node not in polls:
-                    due = t + POLL_PERIOD_S
-                    slack = act[1] - DRIFT_MARGIN
-                    vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
-                    while (due - t) * vmax < slack and due <= horizon:
-                        due += POLL_PERIOD_S
-                    polls.add(node)
-                    schedule(due, FREEZE_POLL, node, None)
+                due = t + POLL_PERIOD_S
+                slack = act[1] - DRIFT_MARGIN
+                vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
+                while (due - t) * vmax < slack and due <= horizon:
+                    due += POLL_PERIOD_S
+                st.live[POLL] = schedule(due, FREEZE_POLL, node, None)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")
         # handlers change only their own node, so only its flags can have moved
@@ -270,7 +265,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             # quiescent: leg ends alone would carry a mobile world to the horizon
             end_time = horizon if mobile else queue.now
             break
-        # never drained here: a node in `able` has a timer or poll queued, in_flight a DELIVERY
+        # never drained here: a node in `able` has a timer in `live`, in_flight a DELIVERY
         if peek() > horizon:
             end_time = horizon
             break
@@ -293,8 +288,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             sent = t - airtime
         else:
             nodes = (node,)
-            if kind == FREEZE_POLL:
-                polls.discard(node)
         for node in nodes:
             st = states.get(node)
             if delivery:

@@ -35,13 +35,14 @@ ACCEPT = "accept"  # reply contention, own or cached reply
 GUARD = "guard"  # acceptance round length before forwarding starts
 FORWARD = "forward"  # request or reply relay contention (baselines: the request relay)
 DTN = "dtn"  # periodic rebroadcast (also the source's beacon slot)
+POLL = "poll"  # a carrier's movement poll, armed by START_POLL
 
 # action opcodes returned by handlers
 TRANSMIT = 0  # (TRANSMIT, message)
 SET_TIMER = 1  # (SET_TIMER, slot, delay_s)
 CANCEL_TIMER = 2  # (CANCEL_TIMER, slot, queue handle)
-START_POLL = 3  # (START_POLL, metres_left)  poll at the first 1 s tick that could thaw a
-#   carrier metres_left short; an armed poll is reused, one outside DTN_FROZEN is ignored
+START_POLL = 3  # (START_POLL, metres_left)  arm POLL at the first 1 s tick that could
+#   thaw a carrier metres_left short; a poll that pops outside DTN_FROZEN does nothing
 
 
 class Message(NamedTuple):
@@ -71,6 +72,8 @@ class ProtocolParams:
                 raise ValueError(f"{name} {value} must be finite")
         if not (0.0 <= self.cw_min_s < self.cw_max_s):
             raise ValueError(f"need 0 <= cw_min < cw_max, got [{self.cw_min_s}, {self.cw_max_s}]")
+        if self.cw_max_s / 2.0 == 0.0:  # every period drawn from [0, cw_max) rounds to 0
+            raise ValueError(f"cw_max {self.cw_max_s} must exceed the least positive float")
         if self.gamma_per_m <= 0.0 or self.radius_m <= 0.0:
             raise ValueError("distance weight parameters must be positive")
         if self.dtn_dist_m <= 0.0:
@@ -138,23 +141,22 @@ class EmergencyState:
 def may_transmit(st: EmergencyState) -> bool:
     """Whether the node can still transmit before it hears another message.
 
-    Only deliveries add hop budget, so a carrier whose stored request has none
-    left never transmits from its DTN tick again. Every other armed timer,
-    the source's beacon included, counts. A frozen carrier has no armed timer
-    but re-arms its tick when it thaws, so it counts while it has budget.
+    A non-source carrier (DTN_ACTIVE or DTN_FROZEN) can, exactly when its
+    stored request has hop budget: its DTN tick and its poll lead only to
+    rebroadcasts of that request, and only deliveries add budget. Any other
+    node can, exactly when it has an armed timer; the source's beacon counts.
 
     So a timer that pops for a node this is false for is a spent carry tick:
     the DTN tick of a non-source carrier in DTN_ACTIVE whose stored request
-    has `ttl < 1` (its one armed slot; DTN is armed only in DTN_ACTIVE). The
-    runner re-arms it through `LocateBehavior.carry_tick` without the handler.
-    `FloodingBehavior` never has such a timer: its relays arm only FORWARD and
-    ACCEPT, which count, and the source always counts.
+    has `ttl < 1` (POLL pops as a FREEZE_POLL, and DTN is armed only in
+    DTN_ACTIVE). The runner re-arms it through `LocateBehavior.carry_tick`
+    without the handler. `FloodingBehavior` never has such a timer: its
+    relays stay out of the DTN phases.
     """
-    live = st.live
-    if not live:
-        return st.phase == DTN_FROZEN and st.stored_req.ttl >= 1
-    return not (len(live) == 1 and DTN in live and not st.is_source
-                and st.stored_req.ttl < 1)
+    phase = st.phase
+    if (phase == DTN_ACTIVE or phase == DTN_FROZEN) and not st.is_source:
+        return st.stored_req.ttl >= 1
+    return bool(st.live)
 
 
 class _SourceMixin:
@@ -225,11 +227,12 @@ def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) 
 
 
 def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
-    """The absorbing transition: stop spreading and carrying the request (an armed poll pops idle)."""
+    """The absorbing transition: stop spreading and carrying the request, cancelling
+    the guard, forward, carry-tick and movement-poll timers (ACCEPT is the caller's)."""
     if st.phase == SOLVED:
         return
     st.phase = SOLVED
-    for slot in (GUARD, FORWARD, DTN):
+    for slot in (GUARD, FORWARD, DTN, POLL):
         _cancel(st, acts, slot)
     st.freeze_pos = None
     st.dtn_remaining_s = -1.0
@@ -415,9 +418,10 @@ class LocateBehavior(_SourceMixin):
 
     def on_freeze_poll(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
+        st.live.pop(POLL, None)
         acts: list[tuple] = []
         if st.phase != DTN_FROZEN:
-            return acts  # dormant or solved; freezing emits a fresh START_POLL
+            return acts  # dormant: freezing emits a fresh START_POLL
         left = self.params.dtn_dist_m - distance(pos, st.freeze_pos)
         if left <= 0.0:  # exactly distance >= dtn_dist_m: a difference is 0 only for equals
             st.phase = DTN_ACTIVE
@@ -449,7 +453,8 @@ class LocateBehavior(_SourceMixin):
         st.dtn_remaining_s = max(st.dtn_fire_at - t, 0.0)
         st.freeze_pos = pos
         st.phase = DTN_FROZEN
-        acts.append((START_POLL, self.params.dtn_dist_m))
+        if POLL not in st.live:  # else the dormant poll from _enter_dtn checks first
+            acts.append((START_POLL, self.params.dtn_dist_m))
 
 
 class FloodingBehavior(_SourceMixin):

@@ -13,7 +13,7 @@ SPEED_MAX = 3.0  # m/s
 
 _SNAP = 1e-6  # m, endpoint snap to the arena edge
 
-# m, slack on every speed-bound reach (World.near, skipped freeze polls):
+# m, slack on every speed-bound reach (World.near, the freeze poll's skipped ticks):
 # covers float rounding and the _SNAP pull of each new leg
 DRIFT_MARGIN = 1.0
 

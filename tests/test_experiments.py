@@ -402,6 +402,24 @@ def test_frozen_carrier_with_hop_budget_is_not_cut_off():
     assert res.end_time_s == 600.0
 
 
+def test_a_solved_carrier_pops_no_freeze_poll(monkeypatch):
+    # solving cancels the POLL slot with every other timer, so no poll reaches a solved
+    # node; with polls kept outside `live`, 19 popped idle in 10 of these 40 runs
+    cfg = ScenarioConfig(n=40, tau=0.15, horizon_s=1800.0)
+    polled = []
+    poll = LocateBehavior.on_freeze_poll
+
+    def recorded(self, st, *args):
+        polled.append((idx, st.node, st.phase))
+        return poll(self, st, *args)
+
+    monkeypatch.setattr(LocateBehavior, "on_freeze_poll", recorded)
+    for idx in range(40):
+        run_once(cfg, idx)
+    assert len({idx for idx, _, _ in polled}) >= 10  # the sample freezes carriers
+    assert [call for call in polled if call[2] == SOLVED] == []
+
+
 @pytest.mark.parametrize("protocol", ["locate", "locate-basic"])
 def test_quiescent_exit_equals_a_run_to_the_horizon(protocol, monkeypatch):
     cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)

@@ -10,30 +10,38 @@ from hypothesis import strategies as st
 from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_ENV,
                                    ScenarioConfig, run_batches, run_once)
 from locatesim.kernel import FREEZE_POLL, EventQueue, RandomStream
-from locatesim.protocol import (E_REQ, SOLVED, FloodingBehavior, LocateBehavior,
-                                ProtocolParams)
+from locatesim.protocol import (ACCEPTING, DTN_ACTIVE, DTN_FROZEN, E_REQ, FORWARDING, SOLVED,
+                                UNAWARE, FloodingBehavior, LocateBehavior, ProtocolParams)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
 
 from topologies import static_world
 
-configs = st.builds(
-    lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
-        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
-                       base_seed=seed, horizon_s=horizon_s,
-                       radio=lora_profile(pdr_model=pdr_model, interference=interference),
-                       params=ProtocolParams(ttl_init=ttl_init)),
-    n=st.integers(1, 12),
-    tau=st.floats(0.0, 1.0),
-    protocol=st.sampled_from(PROTOCOLS),
-    pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
-    interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
-    ttl_init=st.integers(0, 3),
-    horizon_s=st.floats(1.0, 3600.0),
-    side_m=st.floats(200.0, 3000.0),
-    seed=st.integers(0, 2**31 - 1),
-)
+DEFAULTS = ProtocolParams()
+
+
+def scenarios(protocols, n, tau, horizon_s, side_m, ttl_init=st.just(DEFAULTS.ttl_init),
+              dtn_dist_m=st.just(DEFAULTS.dtn_dist_m)):
+    """One-run configs of `protocols` over LoRa with either loss model, collisions on or
+    off; the other settings are the defaults."""
+    return st.builds(
+        lambda n, tau, protocol, pdr_model, interference, ttl_init, dtn_dist_m, horizon_s,
+        side_m, seed:
+            ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
+                           base_seed=seed, horizon_s=horizon_s,
+                           radio=lora_profile(pdr_model=pdr_model, interference=interference),
+                           params=ProtocolParams(ttl_init=ttl_init, dtn_dist_m=dtn_dist_m)),
+        n=n, tau=tau, protocol=st.sampled_from(protocols),
+        pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
+        interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
+        ttl_init=ttl_init, dtn_dist_m=dtn_dist_m, horizon_s=horizon_s, side_m=side_m,
+        seed=st.integers(0, 2**31 - 1))
+
+
+configs = scenarios(PROTOCOLS, n=st.integers(1, 12), tau=st.floats(0.0, 1.0),
+                    ttl_init=st.integers(0, 3), horizon_s=st.floats(1.0, 3600.0),
+                    side_m=st.floats(200.0, 3000.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -72,43 +80,97 @@ def test_trace_invariants(config):
     assert (result.ereq_count, result.erep_count) == (requests, replies)
 
 
-flooding_configs = st.builds(
-    lambda n, tau, protocol, pdr_model, interference, horizon_s, side_m, seed:
-        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
-                       base_seed=seed, horizon_s=horizon_s,
-                       radio=lora_profile(pdr_model=pdr_model, interference=interference)),
-    n=st.integers(0, 60),
-    tau=st.floats(0.0, 1.0),
-    protocol=st.sampled_from(("flooding", "probabilistic")),
-    pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
-    interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
-    horizon_s=st.floats(1.0, 1800.0),
-    side_m=st.floats(300.0, 5000.0),
-    seed=st.integers(0, 2**31 - 1),
-)
+# the legal phase edges of a non-source node, per protocol
+_LOCATE_EDGES = {UNAWARE: {ACCEPTING, SOLVED}, ACCEPTING: {FORWARDING, DTN_ACTIVE, SOLVED},
+                 FORWARDING: {DTN_ACTIVE, SOLVED}, DTN_ACTIVE: {DTN_FROZEN, SOLVED},
+                 DTN_FROZEN: {DTN_ACTIVE, SOLVED}}
+_BASELINE_EDGES = {UNAWARE: {ACCEPTING, SOLVED}, ACCEPTING: {SOLVED}}
+EDGES = {"locate": _LOCATE_EDGES,
+         "locate-basic": {UNAWARE: {ACCEPTING, SOLVED},
+                          ACCEPTING: {FORWARDING, DTN_ACTIVE, SOLVED},
+                          FORWARDING: {DTN_ACTIVE, SOLVED}, DTN_ACTIVE: {SOLVED}},
+         "flooding": _BASELINE_EDGES, "probabilistic": _BASELINE_EDGES}
+# the source's DTN_ACTIVE from start_emergency is logged at its first handled event, which
+# may already be the reply that solves it
+SOURCE_EDGES = {UNAWARE: {DTN_ACTIVE, SOLVED}, DTN_ACTIVE: {SOLVED}}
+# the phases a non-source node sends a request from; a reply is sent from ACCEPTING (a
+# solver's own) or SOLVED
+REQUEST_PHASES = {"locate": {FORWARDING, DTN_ACTIVE}, "locate-basic": {FORWARDING, DTN_ACTIVE},
+                  "flooding": {ACCEPTING}, "probabilistic": {ACCEPTING}}
+REPLY_PHASES = {ACCEPTING, SOLVED}
+
+statechart_configs = scenarios(PROTOCOLS, n=st.integers(1, 25), tau=st.floats(0.0, 1.0),
+                               ttl_init=st.integers(0, 4), dtn_dist_m=st.floats(5.0, 300.0),
+                               horizon_s=st.floats(1.0, 3600.0),
+                               side_m=st.floats(300.0, 3000.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(statechart_configs)
+# carriers solved from FORWARDING, DTN_ACTIVE and DTN_FROZEN, edges the generated examples
+# do not take
+@example(ScenarioConfig(n=20, tau=0.06205770005378497, side_m=964.101464471804, runs=1,
+                        base_seed=1307113071, horizon_s=6056.793960267225,
+                        radio=lora_profile(pdr_model=SMOOTH),
+                        params=ProtocolParams(ttl_init=2, dtn_dist_m=7.763138164644399)))
+@example(ScenarioConfig(n=7, tau=0.12732783327633335, protocol="locate-basic",
+                        side_m=1053.4792370547216, runs=1, base_seed=302282366,
+                        horizon_s=1197.0708864025016,
+                        params=ProtocolParams(ttl_init=4, dtn_dist_m=63.60150399212603)))
+def test_trace_follows_the_statechart(config):
+    """Every logged phase change is a legal edge, and every transmission is sent from a
+    phase that may send it: its node's last logged phase, since a phase is logged after
+    its handler's actions. Every relay spends a hop, so only the source sends a full
+    budget, and a baseline relay sends at most one request."""
+    trace: list = []
+    run_once(config, 0, trace=trace)
+    protocol = config.protocol
+    ttl_init = config.params.ttl_init
+    phase: dict[int, int] = {}
+    requests: dict[int, int] = {}
+    for rec in trace:
+        tag, t, node = rec[:3]
+        now = phase.get(node, UNAWARE)
+        if tag == "phase":
+            edges = SOURCE_EDGES if node == SOURCE_ID else EDGES[protocol]
+            assert rec[3] in edges.get(now, ()), f"node {node}: {now} -> {rec[3]} at {t}"
+            phase[node] = rec[3]
+        elif tag == "tx":
+            kind, ttl = rec[3:]
+            if node == SOURCE_ID:  # beacons, logged DTN_ACTIVE only at its first handler
+                assert (kind, ttl) == (E_REQ, ttl_init) and now != SOLVED, (rec, now)
+                continue
+            assert 0 <= ttl < ttl_init, rec
+            if kind == E_REQ:
+                assert now in REQUEST_PHASES[protocol], f"node {node} sent a request from {now}"
+                requests[node] = requests.get(node, 0) + 1
+            else:
+                assert now in REPLY_PHASES, f"node {node} sent a reply from {now}"
+    if protocol in ("flooding", "probabilistic"):
+        assert all(count == 1 for count in requests.values()), requests
+
+
+flooding_configs = scenarios(("flooding", "probabilistic"), n=st.integers(0, 60),
+                             tau=st.floats(0.0, 1.0), horizon_s=st.floats(1.0, 1800.0),
+                             side_m=st.floats(300.0, 5000.0))
 
 
 # hop budgets of 0-3 spend carriers early, so most runs pop spent carry ticks
-locate_configs = st.builds(
-    lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
-        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
-                       base_seed=seed, horizon_s=horizon_s,
-                       radio=lora_profile(pdr_model=pdr_model, interference=interference),
-                       params=ProtocolParams(ttl_init=ttl_init)),
-    n=st.integers(0, 20),
-    tau=st.floats(0.0, 1.0),
-    protocol=st.sampled_from(("locate", "locate-basic")),
-    pdr_model=st.sampled_from((UNIT_DISK, SMOOTH)),
-    interference=st.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
-    ttl_init=st.integers(0, 3),
-    horizon_s=st.floats(1.0, 3600.0),
-    side_m=st.floats(300.0, 5000.0),
-    seed=st.integers(0, 2**31 - 1),
-)
+locate_configs = scenarios(("locate", "locate-basic"), n=st.integers(0, 20),
+                           tau=st.floats(0.0, 1.0), ttl_init=st.integers(0, 3),
+                           horizon_s=st.floats(1.0, 3600.0), side_m=st.floats(300.0, 5000.0))
+
+
+# solvers, 1-2 hop budgets and mid-size arenas: the source is often solved while carriers
+# that never hear the reply are spent, so about one run in five goes quiet before the horizon
+settling_configs = scenarios(("locate", "locate-basic"), n=st.integers(5, 20),
+                             tau=st.floats(0.05, 0.4), ttl_init=st.integers(1, 2),
+                             horizon_s=st.floats(1200.0, 3600.0),
+                             side_m=st.floats(1000.0, 2500.0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(locate_configs)
+@given(st.one_of(locate_configs, settling_configs))
 # two carriers with no hop budget left freeze, so the run goes quiet at 134.8 s; its twin
 # logs their thaws at 154.8 s and 168.8 s and runs on to the horizon
 @example(ScenarioConfig(n=8, tau=0.15679618517064975, side_m=1057.870888087286, runs=1,
@@ -171,18 +233,20 @@ def positive(lo, hi):
 @st.composite
 def any_scenario(draw):
     """The fields of any scenario, extreme finite floats included, as (scenario, radio,
-    params, windows): horizons up to an hour, or up to the 1e6 s floor for at most 3 nodes
-    in arenas of at least 1 km so leg ends stay few, and cw_max = horizon / windows. One
+    params, windows): horizons up to an hour, or one time in four from an hour to the
+    1e6 s floor for at most 3 nodes in arenas of at least 1 km so leg ends stay few, and
+    cw_max = horizon / windows. A long horizon draws up to 1e3 windows, which the floor
+    accepts, so its run is simulated; short ones also draw windows past the floor. One
     long horizon in two runs `locate` with range and thaw distance past the arena's
     diagonal: carriers that hear each other freeze for good, and their polls walk the
     lattice to the horizon."""
     long = draw(st.integers(0, 3)) == 3
-    horizon = draw(st.floats(min_value=0.0, max_value=1e6 * POLL_PERIOD_S if long else 3600.0,
-                             exclude_min=True))
+    horizon = draw(st.floats(min_value=3600.0 if long else 0.0,
+                             max_value=1e6 * POLL_PERIOD_S if long else 3600.0, exclude_min=True))
     side = draw(st.floats(1000.0 if horizon > 3600.0 else 1.0, 5000.0))
     never_thaws = long and draw(st.booleans())
     past_diagonal = st.floats(1.5 * side, 1e300)
-    windows = draw(st.floats(1.0, 1e3) if never_thaws else windows_per_horizon)
+    windows = draw(st.floats(1.0, 1e3) if long else windows_per_horizon)
     cw_max = horizon / windows
     radio = dict(range_m=draw(past_diagonal if never_thaws else positive(50.0, 2000.0)),
                  airtime_s=draw(positive(0.01, 2.0)),
@@ -209,6 +273,10 @@ def any_scenario(draw):
 # the source beacons in a 1e-300 s window, below the clock's resolution at 10 s
 @example(({"n": 0, "tau": 0.0, "protocol": "locate", "side_m": 5000.0, "base_seed": 1,
            "horizon_s": 10.0}, {}, {"cw_min_s": 0.0, "cw_max_s": 1e-300}, 1e301))
+# a window of the least positive float, which the horizon floor accepts: every period drawn
+# from it rounds to 0, so the source would beacon at t = 0 forever
+@example(({"n": 0, "tau": 0.0, "protocol": "locate", "side_m": 1.0, "base_seed": 0,
+           "horizon_s": 5e-324}, {}, {"cw_min_s": 0.0, "cw_max_s": 5e-324}, 1.0))
 # gamma * d and d / radius overflow together in every contention window
 @example(({"n": 10, "tau": 0.5, "protocol": "locate", "side_m": 500.0, "base_seed": 1,
            "horizon_s": 600.0}, {}, {"gamma_per_m": 1e308, "radius_m": 1e-307}, 30.0))

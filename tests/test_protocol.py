@@ -12,12 +12,12 @@ from locatesim import experiments
 from locatesim.experiments import ScenarioConfig, run_once
 from locatesim.kernel import TIMER, EventQueue, RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
-                                DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD,
+                                DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD, POLL,
                                 SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                                 UNAWARE, EmergencyState, FloodingBehavior, LocateBehavior,
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
-                                forwarding_window)
+                                forwarding_window, may_transmit)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              lora_profile)
 
@@ -106,6 +106,10 @@ def test_dtn_forward_probability():
 def test_params_validation():
     with pytest.raises(ValueError):
         ProtocolParams(cw_min_s=20.0, cw_max_s=20.0)
+    # every period drawn below the least positive float rounds to 0; two of it can be drawn
+    with pytest.raises(ValueError, match="least positive float"):
+        ProtocolParams(cw_min_s=0.0, cw_max_s=5e-324)
+    ProtocolParams(cw_min_s=0.0, cw_max_s=1e-323)
     with pytest.raises(ValueError):
         ProtocolParams(gamma_per_m=0.0)
     with pytest.raises(ValueError):
@@ -577,7 +581,8 @@ def test_poll_is_dormant_outside_frozen_phase():
     b = locate()
     pos = (2900.0, 2500.0)
     active = dtn_carrier(b)
-    # a frozen carrier that a reply then solves keeps its armed poll, which does nothing
+    # a frozen carrier that a reply then solves has its poll cancelled; one handed to it
+    # anyway does nothing
     solved = dtn_carrier(b)
     b.on_delivery(solved, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
     b.on_delivery(solved, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
@@ -587,6 +592,80 @@ def test_poll_is_dormant_outside_frozen_phase():
     for st, phase in ((active, DTN_ACTIVE), (solved, SOLVED)):
         assert b.on_freeze_poll(st, 40.0, far, RandomStream(11)) == []
         assert st.phase == phase
+
+
+def frozen_carrier(b, pos=(2900.0, 2500.0)):
+    """A carrier frozen by two distinct competitors, its poll armed as the runner arms it."""
+    st = dtn_carrier(b, pos)
+    b.on_delivery(st, req(tx=7, ttl=14), 25.0, pos, RandomStream(8))
+    b.on_delivery(st, req(tx=8, ttl=14), 26.0, pos, RandomStream(9))
+    assert st.phase == DTN_FROZEN and st.live == {}
+    st.live[POLL] = object()
+    return st
+
+
+def test_solving_a_frozen_carrier_cancels_its_poll():
+    b = locate()
+    st = frozen_carrier(b)
+    handle = st.live[POLL]
+    acts = b.on_delivery(st, rep(ttl=14), 27.0, (2900.0, 2500.0), RandomStream(10))
+    assert st.phase == SOLVED
+    assert (CANCEL_TIMER, POLL, handle) in acts
+    assert POLL not in st.live
+
+
+def test_freezing_reuses_an_armed_dormant_poll():
+    b = locate()
+    pos = (2900.0, 2500.0)
+    st = dtn_carrier(b, pos)
+    # entered the carry phase at 24.0 s: the dormant poll _enter_dtn asked for is due at 25.0 s
+    handle = st.live[POLL] = object()
+    b.on_delivery(st, req(tx=7, ttl=14), 24.3, pos, RandomStream(8))
+    acts = b.on_delivery(st, req(tx=8, ttl=14), 24.6, pos, RandomStream(9))
+    assert st.phase == DTN_FROZEN
+    assert START_POLL not in ops(acts)
+    assert st.live == {POLL: handle}
+    # the reused poll pops like any timer: it leaves the registry, then checks the distance
+    acts = b.on_freeze_poll(st, 25.0, pos, RandomStream(10))
+    assert acts == [(START_POLL, P.dtn_dist_m)]
+    assert st.live == {}
+
+
+def test_may_transmit_table():
+    b = locate()
+    armed = object()
+    source = source_state()
+    b.start_emergency(source, 0.0, ORIGIN, RandomStream(1))
+    solved_source = source_state()
+    b.start_emergency(solved_source, 0.0, ORIGIN, RandomStream(1))
+    b.on_delivery(solved_source, rep(), 6.0, ORIGIN, RandomStream(2))
+    accepting = relay_state()
+    b.on_delivery(accepting, req(), 0.4, ORIGIN, RandomStream(3))
+    solved = relay_state()
+    b.on_delivery(solved, rep(ttl=0), 0.4, ORIGIN, RandomStream(3))
+    active, spent_active = dtn_carrier(b), dtn_carrier(b, ttl=1)
+    frozen, spent_frozen = frozen_carrier(b), frozen_carrier(b)
+    spent_frozen.stored_req = spent_frozen.stored_req._replace(ttl=0)
+    # a carrier's poll, dormant or not, gives it no budget
+    for st in (active, spent_active):
+        st.live[POLL] = armed
+    cases = [
+        ("source beaconing", source, {DTN}, True),
+        ("source solved", solved_source, set(), False),
+        ("accepting relay", accepting, {GUARD}, True),
+        ("active carrier with budget", active, {DTN, POLL}, True),
+        ("active carrier spent", spent_active, {DTN, POLL}, False),
+        ("frozen carrier with budget", frozen, {POLL}, True),
+        ("frozen carrier spent", spent_frozen, {POLL}, False),
+        ("solved relay, nothing armed", solved, set(), False),
+    ]
+    for label, st, slots, expected in cases:
+        assert set(st.live) == slots, label
+        assert may_transmit(st) is expected, label
+    assert spent_active.stored_req.ttl == 0 and spent_active.phase == DTN_ACTIVE
+    # a solved node may transmit exactly while a reply relay or cached answer is armed
+    solved.live[ACCEPT] = armed
+    assert may_transmit(solved)
 
 
 def test_basic_variant_never_tracks_competitors():
