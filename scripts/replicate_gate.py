@@ -2,14 +2,15 @@
 
 Each verdict of `tests/test_acceptance.py` rests on one 200-run sample at base
 seed 1. Run i uses seed `base_seed XOR i`, so base seeds that differ only below
-the run count replay the same runs; 1, 2**20, 2**21 and 3 * 2**20 (the default)
-give disjoint samples. For each base seed this prints the verdict lines of
-criteria 2, 3, 4, 5 and 7 and of `test_full_dtn_optimization_does_not_raise_overhead`,
-computed by the gate's own code at that seed, then one table of the numbers
-each verdict turns on. At base seed 1 the lines are the ones the tier-1 suite
-prints. It takes about as long as the gate's points, per base seed.
+the run count replay the same runs; 1, 2**20, 2**21 and 3 * 2**20 give disjoint
+samples. For each of these base seeds this prints the verdict lines of criteria
+2, 3, 4, 5 and 7 and of `test_full_dtn_optimization_does_not_raise_overhead`,
+then one table of the numbers each verdict turns on. Lines and numbers come from
+the gate's own functions (`tests/test_acceptance.py`, `tests/paired.py`), so at
+base seed 1 the lines are the ones the tier-1 suite prints. It takes about as
+long as the gate's points, per base seed.
 
-    python3 scripts/replicate_gate.py [BASE_SEED ...]
+    python3 scripts/replicate_gate.py
 
 This script reports; it is not a test, and it changes no threshold.
 """
@@ -23,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import test_acceptance as gate  # noqa: E402
-from paired import eo_ratio  # noqa: E402
+from paired import dtn_optimization, eo_ratio  # noqa: E402
 
 SEEDS = (1, 2**20, 2**21, 3 * 2**20)
 CRITERIA = (gate.test_c2_locate_resolves_faster_than_flooding_and_probabilistic,
@@ -51,47 +52,38 @@ def verdict_lines(seed: int) -> list[str]:
             except AssertionError:
                 pass  # the verdict line is already printed
     # the third red test runs the gate's own point (n=40, tau 0.15, 200 runs)
-    full, basic = gate.point("locate"), gate.point("locate-basic")
-    ok = full.eo_mean <= basic.eo_mean
-    print(f"dtn optimization: {'PASS' if ok else 'FAIL'} - full {full.eo_mean:.1f} vs basic "
-          f"{basic.eo_mean:.1f} requests per run (need full <= basic); "
-          f"paired full/basic {eo_ratio(gate.runs('locate'), gate.runs('locate-basic'))}",
-          file=out)
+    print(dtn_optimization(gate.runs("locate"), gate.runs("locate-basic"))[1], file=out)
     return out.getvalue().splitlines()
 
 
 def table_column() -> list[str]:
     """The numbers behind each row of the table, from the points cached at one seed."""
-    ours, flood = gate.point("locate"), gate.point("flooding")
-    gap = (flood.ert_mean_s - flood.ert_ci95_s) - (ours.ert_mean_s + ours.ert_ci95_s)
-    basic = gate.point("locate-basic")
-    high = gate.point("locate", p_start=0.8)
-    shift = abs(high.ert_mean_s - ours.ert_mean_s) / ours.ert_mean_s
-    sparse = gate.point("locate", n=5).ert_mean_s / gate.point("flooding", n=5).ert_mean_s
+    gap = gate.ci_gap(gate.point("locate"), gate.point("flooding"))
+    full_wins, _ = dtn_optimization(gate.runs("locate"), gate.runs("locate-basic"))
+    shift, rises = gate.carry_probability_effect()
     return [f"{gap:+.0f} s",
             eo_ratio(gate.runs("locate-basic"), gate.runs("locate")),
-            "passes" if ours.eo_mean <= basic.eo_mean else "fails",
-            f"{sparse:.3f}",
-            f"{shift:.3f}, {'rises' if high.eo_mean > ours.eo_mean else 'falls'}",
+            "passes" if full_wins else "fails",
+            f"{gate.sparse_ratio():.3f}",
+            f"{shift:.3f}, {'rises' if rises else 'falls'}",
             f"{gate.point('locate', tau=0.30).err_pct:.3f}"]
 
 
-def main(argv: list[str]) -> int:
-    seeds = [int(arg) for arg in argv] or list(SEEDS)
+def main() -> int:
     columns = []
-    for seed in seeds:
+    for seed in SEEDS:
         print(f"base seed {seed}")
         for line in verdict_lines(seed):
             print(f"  {line}")
         columns.append(table_column())
         sys.stdout.flush()
     print()
-    print("| verdict | " + " | ".join(f"seed {seed}" for seed in seeds) + " |")
-    print("|---" * (len(seeds) + 1) + "|")
+    print("| verdict | " + " | ".join(f"seed {seed}" for seed in SEEDS) + " |")
+    print("|---" * (len(SEEDS) + 1) + "|")
     for i, row in enumerate(ROWS):
         print(f"| {row} | " + " | ".join(column[i] for column in columns) + " |")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

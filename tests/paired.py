@@ -28,3 +28,14 @@ def ert_ratio(ours: list, other: list) -> str:
     """Paired ratio of resolution times, over the runs both protocols solved."""
     both = [(x.ert_s, y.ert_s) for x, y in zip(ours, other) if x.solved and y.solved]
     return f"{ratio(*zip(*both))} over {len(both)} runs"
+
+
+def dtn_optimization(full: list, basic: list) -> tuple[bool, str]:
+    """Whether the full variant's mean request count is at most the basic one's, and the
+    verdict line `test_full_dtn_optimization_does_not_raise_overhead` prints for it."""
+    full_eo = statistics.fmean([float(r.ereq_count) for r in full])
+    basic_eo = statistics.fmean([float(r.ereq_count) for r in basic])
+    ok = full_eo <= basic_eo
+    return ok, (f"dtn optimization: {'PASS' if ok else 'FAIL'} - full {full_eo:.1f} vs basic "
+                f"{basic_eo:.1f} requests per run (need full <= basic); "
+                f"paired full/basic {eo_ratio(full, basic)}")
