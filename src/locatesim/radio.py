@@ -68,27 +68,27 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     """Ids of the nodes that receive a transmission starting at time t.
 
     Membership is decided from positions at the transmission start; the
-    transmitter never hears itself. Only the nodes `world.near` returns are
-    evaluated, a superset of those in range. Loss draws happen in node-id
-    order, and only for nodes whose delivery ratio is strictly between 0 and
-    1, so the unit-disk model consumes no randomness.
+    transmitter never hears itself. Of the candidates `world.near` returns,
+    only those whose index-time position lies within its radius r of the
+    transmitter are evaluated. That is exact: a node in range now lay within
+    r - DRIFT_MARGIN of the transmitter then, and the squared compare rounds
+    by a few ulps of r * r, far less than the margin. Loss draws happen in
+    node-id order, and only for nodes whose delivery ratio is strictly
+    between 0 and 1, so the unit-disk model consumes no randomness.
     """
     position_at = world.position_at
     tx_pos = position_at(tx_node, t)
     x, y = tx_pos
     reach = profile.range_m
-    neg = -reach
+    candidates, r = world.near(x, y, t, reach)
+    r2 = r * r
     out: list[int] = []
-    for node in world.near(x, y, t, reach):
-        if node == tx_node:
+    for node, x0, y0 in candidates:
+        dx = x0 - x
+        dy = y0 - y
+        if dx * dx + dy * dy > r2 or node == tx_node:
             continue
         pos = position_at(node, t)
-        # exact pre-filter: the distance is at least each axis offset, |dx| > reach
-        # exactly when dx > reach or dx < -reach
-        dx = pos[0] - x
-        dy = pos[1] - y
-        if dx > reach or dx < neg or dy > reach or dy < neg:
-            continue
         d = distance(tx_pos, pos)
         if d > reach:
             continue

@@ -48,15 +48,19 @@ def distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-class _Index:
-    """Node ids bucketed into square cells by position at build time t0.
+Entry = tuple[int, float, float]  # a node's id and its position when the index was built
 
-    Cells are `reach` wide, or the margin if that is wider, so a query never
-    spans more than a few cells. A coordinate u falls in column (or row)
-    int(u * inv), clamped into [0, cols - 1]. That map never decreases in u,
-    so every coordinate in [lo, hi] falls between the columns of lo and hi.
-    `boxes` memoises the sorted ids of each box of cells queried so far; cells
-    never change within a build, so an entry lives exactly as long as the index.
+
+class _Index:
+    """Node entries (id, x, y) bucketed into square cells by position at build time t0.
+
+    (x, y) is where `position_at` puts the node at t0. Cells are `reach` wide,
+    or the margin if that is wider, so a query never spans more than a few
+    cells. A coordinate u falls in column (or row) floor(u * inv), clamped into
+    [0, cols - 1]. That map never decreases in u, so every coordinate in
+    [lo, hi] falls between the columns of lo and hi. `boxes` memoises the
+    entries, ascending by id, of each box of cells queried so far; cells never
+    change within a build, so an entry lives exactly as long as the index.
     """
 
     __slots__ = ("t0", "reach", "cell", "inv", "cols", "vmax", "cells", "boxes")
@@ -68,48 +72,57 @@ class _Index:
         self.inv = inv = 1.0 / cell
         self.cols = cols = max(1, math.ceil(side / cell))
         last = cols - 1
+        floor = math.floor  # cheaper than int(), and the same column once clamped
         vmax = SPEED_MAX
-        cells: dict[int, list[int]] = {}
+        cells: dict[int, list[Entry]] = {}
         for rec in nodes:
             leg = rec.leg
             x = leg.x0
             y = leg.y0
             speed = leg.speed
-            if speed != 0.0:  # as in position_at, less the clamp
+            if speed != 0.0:  # as in position_at
                 dt = t0 - leg.start
                 x += leg.vx * dt
                 y += leg.vy * dt
+                if x < 0.0:
+                    x = 0.0
+                elif x > side:
+                    x = side
+                if y < 0.0:
+                    y = 0.0
+                elif y > side:
+                    y = side
                 if speed > vmax:
                     vmax = speed
-            # nodes placed off the arena by hand, or rounded past its edge, go to edge cells
-            ix = int(x * inv)
+            # still nodes placed off the arena by hand, and the far edges, go to edge cells
+            ix = floor(x * inv)
             if ix < 0:
                 ix = 0
             elif ix > last:
                 ix = last
-            iy = int(y * inv)
+            iy = floor(y * inv)
             if iy < 0:
                 iy = 0
             elif iy > last:
                 iy = last
-            cells.setdefault(iy * cols + ix, []).append(rec.id)
-        # fastest leg now, which bounds either axis speed; _new_leg never draws a faster one
+            cells.setdefault(iy * cols + ix, []).append((rec.id, x, y))
+        # fastest leg now, which bounds the speed; _new_leg never draws a faster one
         self.vmax = vmax
         self.cells = cells
-        self.boxes: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+        self.boxes: dict[tuple[int, int, int, int], tuple[Entry, ...]] = {}
 
-    def scan(self, i0: int, i1: int, j0: int, j1: int) -> tuple[int, ...]:
-        """Ids, ascending, in the cells of columns i0..i1 and rows j0..j1."""
+    def scan(self, i0: int, i1: int, j0: int, j1: int) -> tuple[Entry, ...]:
+        """Entries, ascending by id, in the cells of columns i0..i1 and rows j0..j1."""
         cols = self.cols
         cells = self.cells
         xs = range(i0, i1 + 1)
-        out: list[int] = []
+        out: list[Entry] = []
         for j in range(j0, j1 + 1):
             row = j * cols
             for i in xs:
-                ids = cells.get(row + i)
-                if ids is not None:
-                    out += ids
+                entries = cells.get(row + i)
+                if entries is not None:
+                    out += entries
         out.sort()
         return tuple(out)
 
@@ -219,18 +232,21 @@ class World:
             y = side
         return x, y
 
-    def near(self, x: float, y: float, t: float, reach: float) -> tuple[int, ...]:
-        """Ids, ascending, of every node that may lie within `reach` of (x, y) at time t.
+    def near(self, x: float, y: float, t: float, reach: float) -> tuple[tuple[Entry, ...], float]:
+        """Candidates for the nodes within `reach` of (x, y) at time t, and their radius r.
 
-        A superset: it holds each node whose x and y both lie within `reach`
-        of the point. Nodes are bucketed into reach-sized cells at a build time
-        t0; no node moves faster than the index's vmax, so one that is within
-        reach at t was within reach + vmax * (t - t0) of the point at t0. The
-        index is rebuilt when t < t0, when that drift passes one cell, or for
-        another reach. Legs change only through `start_leg`, which keeps it
-        valid; after setting a leg by hand, call `forget_index`. The ids of a
-        box of cells are gathered once per build and shared by every query
-        that clamps to the same box.
+        Each candidate is an entry (id, x0, y0), ascending by id, with the
+        node's position at the index's build time t0. No node moves faster than
+        the index's vmax, and clamping into the arena never lengthens a step,
+        so one that is within reach at t was within
+        r = reach + vmax * (t - t0) + DRIFT_MARGIN of the point at t0. The
+        candidates are every node bucketed in the cells that the square of
+        half-side r around the point touches: a superset of that disk, which a
+        caller narrows on (x0, y0). The index is rebuilt when t < t0, when the
+        drift passes one cell, or for another reach. Legs change only through
+        `start_leg`, which keeps it valid; after setting a leg by hand, call
+        `forget_index`. The candidates of a box of cells are gathered once per
+        build and shared by every query that clamps to the same box.
         """
         idx = self._index
         if idx is None or t < idx.t0 or reach != idx.reach \
@@ -239,18 +255,18 @@ class World:
         r = reach + idx.vmax * (t - idx.t0) + DRIFT_MARGIN
         inv = idx.inv
         last = idx.cols - 1
-        i0 = int((x - r) * inv)
-        i1 = int((x + r) * inv)
-        j0 = int((y - r) * inv)
-        j1 = int((y + r) * inv)
+        i0 = math.floor((x - r) * inv)
+        i1 = math.floor((x + r) * inv)
+        j0 = math.floor((y - r) * inv)
+        j1 = math.floor((y + r) * inv)
         box = (0 if i0 < 0 else last if i0 > last else i0,
                0 if i1 < 0 else last if i1 > last else i1,
                0 if j0 < 0 else last if j0 > last else j0,
                0 if j1 < 0 else last if j1 > last else j1)
-        ids = idx.boxes.get(box)
-        if ids is None:
-            ids = idx.boxes[box] = idx.scan(*box)
-        return ids
+        entries = idx.boxes.get(box)
+        if entries is None:
+            entries = idx.boxes[box] = idx.scan(*box)
+        return entries, r
 
     def forget_index(self) -> None:
         """Drop the position index, so legs set by hand are seen by the next `near`."""

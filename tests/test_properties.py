@@ -234,7 +234,7 @@ def positive(lo, hi):
 def any_scenario(draw):
     """The fields of any scenario, extreme finite floats included, as (scenario, radio,
     params, windows): horizons up to an hour, or one time in four from an hour to the
-    1e6 s floor for at most 3 nodes in arenas of at least 1 km so leg ends stay few, and
+    1e6 s floor for 1 to 3 nodes in arenas of at least 1 km so leg ends stay few, and
     cw_max = horizon / windows. A long horizon draws up to 1e3 windows, which the floor
     accepts, so its run is simulated; short ones also draw windows past the floor. One
     long horizon in two runs `locate` with range and thaw distance past the arena's
@@ -260,7 +260,7 @@ def any_scenario(draw):
                   dtn_dist_m=draw(past_diagonal if never_thaws else positive(1.0, 200.0)),
                   p_start=draw(probability), q_flood=draw(probability),
                   ttl_init=draw(st.integers(0, 16)), e_thr_s=draw(positive(1.0, 3600.0)))
-    scenario = dict(n=draw(st.integers(2 if never_thaws else 0, 3 if long else 8)),
+    scenario = dict(n=draw(st.integers(2 if never_thaws else 1 if long else 0, 3 if long else 8)),
                     tau=draw(st.floats(0.0, 1.0)),
                     protocol="locate" if never_thaws else draw(st.sampled_from(PROTOCOLS)),
                     side_m=side,

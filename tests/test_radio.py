@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from locatesim.kernel import RandomStream
 from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioProfile,
                              broadcast, collided, lora_profile, pdr, wifi_profile)
-from locatesim.world import SPEED_MAX, NodeRecord, Role, World, distance
+from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, distance
 
 from topologies import static_world, still_leg, walking
 
@@ -108,14 +108,41 @@ def test_broadcast_with_a_range_shorter_than_the_index_margin():
 
 
 def test_nodes_a_cell_below_the_arena_are_indexed_in_the_edge_cells():
-    # 1 m cells for a 5 cm radio; int() truncates toward zero, so a spot must lie a whole
-    # cell below 0 to fall in column and row -1, which the index clamps to 0
+    # 1 m cells for a 5 cm radio; a still node placed off the arena by hand keeps its spot
+    # (position_at does not clamp it), and a spot below 0 falls in column or row -1 or
+    # below, which the index clamps to 0
     world = static_world(10.0, [(-0.98, -0.98), (-1.01, -1.01, Role.RELAY),
                                 (0.5, 0.5, Role.RELAY), (-1.5, 3.0, Role.RELAY)])
     profile = RadioProfile(range_m=0.05)
-    assert world.near(-0.98, -0.98, 0.0, profile.range_m) == (0, 1, 2)
+    candidates, r = world.near(-0.98, -0.98, 0.0, profile.range_m)
+    assert candidates == ((0, -0.98, -0.98), (1, -1.01, -1.01), (2, 0.5, 0.5))
+    assert r == profile.range_m + DRIFT_MARGIN
     assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == \
         _brute_force(world, 0, 0.0, profile, RandomStream(1)) == [1]
+
+
+def test_a_walker_off_the_arena_is_indexed_where_position_at_clamps_it():
+    # a leg set by hand from 1 km west of the arena: position_at reads x = 0 until the
+    # walker enters, so a transmitter 300 m inside the edge hears it, though the unclamped
+    # spot on the leg lies 1.28 km away, past the disk
+    world = walking(static_world(5000.0, [(300.0, 2500.0), (-1000.0, 2500.0, Role.RELAY)]),
+                    1, 2.0)
+    assert world.near(300.0, 2500.0, 10.0, 500.0)[0] == ((0, 300.0, 2500.0), (1, 0.0, 2500.0))
+    assert broadcast(world, 0, 10.0, lora_profile(), RandomStream(1)) == [1]
+
+
+def test_a_receiver_at_range_is_heard_where_its_squared_offsets_round_past_range_squared():
+    # hypot reads exactly 500 m, but dx * dx + dy * dy reads 5.8e-11 m^2 above 500^2, so a
+    # disk test without the margin above the range drops a node that is in range
+    profile = lora_profile()
+    c = 2500.0
+    spot = (2888.8527133337484, 2814.3144402234516)
+    dx, dy = spot[0] - c, spot[1] - c
+    assert distance((c, c), spot) == profile.range_m
+    assert dx * dx + dy * dy > profile.range_m ** 2
+    world = static_world(5000.0, [(c, c), (spot[0], spot[1], Role.RELAY)])
+    assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == [1]
+    assert broadcast(world, 1, 0.0, profile, RandomStream(1)) == [0]
 
 
 def test_broadcast_axis_bound_is_inclusive():
@@ -222,24 +249,33 @@ def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
         assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)
 
 
+def _ids(world: World, x: float, y: float, t: float, reach: float) -> tuple[int, ...]:
+    return tuple(entry[0] for entry in world.near(x, y, t, reach)[0])
+
+
 def test_near_memo_is_dropped_with_the_index():
     # 100 m cells; node 1 stands 50 m east of the query point, node 2 800 m east
     world = static_world(5000.0, [(2500.0, 2500.0), (2550.0, 2500.0, Role.RELAY),
                                   (3300.0, 2500.0, Role.RELAY)])
-    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0, 1)
+    assert world.near(2500.0, 2500.0, 0.0, 100.0) == \
+        (((0, 2500.0, 2500.0), (1, 2550.0, 2500.0)), 100.0 + DRIFT_MARGIN)
     # a leg set by hand is seen once the index is forgotten
     world.nodes[1].leg = still_leg(4000.0, 2500.0)
-    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0, 1)  # stale until forgotten
+    # stale until forgotten: the entry keeps the spot at build time
+    assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == \
+        ((0, 2500.0, 2500.0), (1, 2550.0, 2500.0))
     world.forget_index()
-    assert world.near(2500.0, 2500.0, 0.0, 100.0) == (0,)
+    assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == ((0, 2500.0, 2500.0),)
     # a new reach clamps a query from the origin to the same box numbers, in wider cells
-    assert world.near(50.0, 50.0, 0.0, 100.0) == ()
-    assert world.near(50.0, 50.0, 0.0, 2600.0) == (0, 1, 2)
-    # a step back in time rebuilds from the positions then
+    assert _ids(world, 50.0, 50.0, 0.0, 100.0) == ()
+    assert _ids(world, 50.0, 50.0, 0.0, 2600.0) == (0, 1, 2)
+    # a step back in time rebuilds from the positions then, and the radius grows with the
+    # fastest node's drift since the build
     walker = walking(static_world(5000.0, [(0.0, 0.0), (100.0, 2500.0, Role.RELAY)]), 1, 20.0)
-    assert walker.near(2100.0, 2500.0, 100.0, 100.0) == (1,)
-    assert walker.near(2100.0, 2500.0, 50.0, 100.0) == ()
-    assert walker.near(1100.0, 2500.0, 50.0, 100.0) == (1,)
+    assert walker.near(2100.0, 2500.0, 100.0, 100.0) == (((1, 2100.0, 2500.0),), 101.0)
+    assert _ids(walker, 2100.0, 2500.0, 50.0, 100.0) == ()
+    assert walker.near(1100.0, 2500.0, 50.0, 100.0) == (((1, 1100.0, 2500.0),), 101.0)
+    assert walker.near(1100.0, 2500.0, 52.5, 100.0) == (((1, 1100.0, 2500.0),), 151.0)
 
 
 def _survivors(receptions: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
