@@ -2,16 +2,16 @@
 
 The fixed points are `locate`, `locate-basic`, `flooding` and `probabilistic`
 at n=40, tau 0.15; `locate` at n=5 and at tau 0.05; and `locate` with the wifi
-preset at n=40. Every point runs at base seed 1 over the default 24 h horizon.
-For each point this prints the mean milliseconds per run and a SHA-256 of its
-`RunResult`s, imported from the `src/` of the checkout the script sits in.
-Equal digests from two checkouts mean equal results. Host times drift, so
-compare two checkouts by running the script from each in turn, several times.
+preset at n=40. Every point makes RUNS runs at base seed 1 over the default
+24 h horizon. For each point this prints the mean milliseconds per run and a
+SHA-256 of its `RunResult`s, imported from the `src/` of the checkout the
+script sits in. Equal digests from two checkouts mean equal results. Host
+times drift, so compare two checkouts by running the script from each in
+turn, several times.
 
-    python3 scripts/points.py [--runs 20]
+    python3 scripts/points.py
 """
 
-import argparse
 import dataclasses
 import hashlib
 import sys
@@ -24,6 +24,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from locatesim.experiments import ScenarioConfig, run_once  # noqa: E402
 from locatesim.radio import wifi_profile  # noqa: E402
 
+RUNS = 40
+
 POINTS = (
     ("locate", dict(protocol="locate")),
     ("locate-basic", dict(protocol="locate-basic")),
@@ -35,27 +37,21 @@ POINTS = (
 )
 
 
-def measure(config: ScenarioConfig, runs: int) -> tuple[float, str]:
-    """Mean ms per run over runs 0..runs-1, and the SHA-256 of their results."""
+def measure(config: ScenarioConfig) -> tuple[float, str]:
+    """Mean ms per run over runs 0..RUNS-1, and the SHA-256 of their results."""
     digest = hashlib.sha256()
     took = 0.0
-    for i in range(runs):
+    for i in range(RUNS):
         start = time.perf_counter()
         result = run_once(config, i)
         took += time.perf_counter() - start
         digest.update(repr(dataclasses.astuple(result)).encode())
-    return 1e3 * took / runs, digest.hexdigest()
+    return 1e3 * took / RUNS, digest.hexdigest()
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=20, help="runs per point (default 20)")
-    runs = parser.parse_args().runs
-    if runs < 1:
-        parser.error(f"--runs {runs} must be at least 1")
     for name, fields in POINTS:
-        config = ScenarioConfig(**{"n": 40, "tau": 0.15, **fields}, runs=runs, base_seed=1)
-        ms, digest = measure(config, runs)
+        ms, digest = measure(ScenarioConfig(**fields, runs=RUNS))
         print(f"{name:<16} {ms:9.3f} ms/run  {digest}")
 
 
