@@ -32,7 +32,7 @@ SOLVED = 5  # absorbing
 
 # timer slots (one live timer per slot per node and emergency)
 ACCEPT = "accept"  # reply contention, own or cached reply
-GUARD = "guard"  # acceptance round length before forwarding starts
+GUARD = "guard"  # a relay's acceptance round before forwarding starts
 FORWARD = "forward"  # request or reply relay contention (baselines: the request relay)
 DTN = "dtn"  # periodic rebroadcast (also the source's beacon slot)
 POLL = "poll"  # a carrier's movement poll, armed by START_POLL
@@ -141,10 +141,12 @@ class EmergencyState:
 def may_transmit(st: EmergencyState) -> bool:
     """Whether the node can still transmit before it hears another message.
 
-    A non-source carrier (DTN_ACTIVE or DTN_FROZEN) can, exactly when its
-    stored request has hop budget: its DTN tick and its poll lead only to
-    rebroadcasts of that request, and only deliveries add budget. Any other
-    node can, exactly when it has an armed timer; the source's beacon counts.
+    A non-source carrier (DTN_ACTIVE or DTN_FROZEN) can only while its stored
+    request has hop budget: its DTN tick and its poll lead only to rebroadcasts
+    of that request, and only deliveries add budget. Any other node can only
+    while it has an armed timer; the source's beacon counts. Sound, not exact:
+    a solved node's reply relay (FORWARD) sends nothing if it pops inside the
+    reply cooldown, as when the node answered through ACCEPT after arming it.
 
     So a timer that pops for a node this is false for is a spent carry tick:
     the DTN tick of a non-source carrier in DTN_ACTIVE whose stored request
@@ -303,7 +305,6 @@ class LocateBehavior(_SourceMixin):
                 _set(st, acts, ACCEPT, stream.uniform(0.0, acceptance_window(d, self.params)))
             if st.phase == UNAWARE:
                 st.phase = ACCEPTING
-                _set(st, acts, GUARD, self.params.cw_max_s)
             return acts
         if st.phase == UNAWARE:
             # hold back for one full window so nearby solvers get to answer first
@@ -356,9 +357,6 @@ class LocateBehavior(_SourceMixin):
     def _fire_guard(self, st: EmergencyState, t: float, pos: tuple[float, float],
                     stream: RandomStream) -> list[tuple]:
         acts: list[tuple] = []
-        if st.is_solver:
-            # reply pending or already sent; the guard has nothing left to do
-            return acts
         if st.stored_req.ttl >= 1:
             st.phase = FORWARDING
             d = distance(st.stored_req.tx_pos, pos)

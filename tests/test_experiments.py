@@ -483,25 +483,33 @@ def test_a_run_stops_inside_a_broadcast_once_nobody_waits():
     assert all(e[2] != 2 for e in trace)
 
 
-def _spur_world():
+def _spur_world(*extra):
     # a solver 300 m west of the source and a relay 400 m east, out of the
     # solver's range: the relay never hears the reply
     return static_world(2500.0, [(1250.0, 1250.0), (950.0, 1250.0, Role.SOLVER),
-                                 (1650.0, 1250.0, Role.RELAY)])
+                                 (1650.0, 1250.0, Role.RELAY), *extra])
 
 
-@pytest.mark.parametrize("protocol,ttl,expected", [
+# a second solver 400 m past the relay, out of the source's range
+FAR_SOLVER = (2050.0, 1250.0, Role.SOLVER)
+
+
+@pytest.mark.parametrize("protocol,ttl,extra,expected", [
     # the relay forwards once and goes quiet: the queue drains
-    ("flooding", 16, (True, 17.74867473874465, 4, 1, 17.74867473874465)),
+    ("flooding", 16, (), (True, 17.74867473874465, 4, 1, 17.74867473874465)),
     # the relay's last rebroadcast, sent with no hop budget left, lands at 22.48 s;
     # from then on the relay could only tick silently until the horizon
-    ("locate", 1, (True, 11.111478346337321, 3, 1, 22.479338693608234)),
-    ("locate-basic", 1, (True, 11.111478346337321, 3, 1, 22.479338693608234)),
+    ("locate", 1, (), (True, 11.111478346337321, 3, 1, 22.479338693608234)),
+    ("locate-basic", 1, (), (True, 11.111478346337321, 3, 1, 22.479338693608234)),
+    # the far solver hears only that ttl-0 copy: aware, it has nothing to answer and
+    # arms nothing, so it does not hold the run open after the copy lands
+    ("locate", 1, (FAR_SOLVER,), (True, 11.111478346337321, 3, 1, 22.479338693608234)),
+    ("locate-basic", 1, (FAR_SOLVER,), (True, 11.111478346337321, 3, 1, 22.479338693608234)),
 ])
-def test_static_worlds_end_when_nothing_can_transmit(protocol, ttl, expected):
-    cfg = ScenarioConfig(n=2, tau=0.5, side_m=2500.0, protocol=protocol, horizon_s=3600.0,
-                         params=ProtocolParams(ttl_init=ttl))
-    assert _fields(run_once(cfg, 0, world=_spur_world())) == expected
+def test_static_worlds_end_when_nothing_can_transmit(protocol, ttl, extra, expected):
+    cfg = ScenarioConfig(n=2 + len(extra), tau=0.5, side_m=2500.0, protocol=protocol,
+                         horizon_s=3600.0, params=ProtocolParams(ttl_init=ttl))
+    assert _fields(run_once(cfg, 0, world=_spur_world(*extra))) == expected
 
 
 def run_result(idx, solved, ert, ereq=10):

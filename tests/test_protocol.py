@@ -236,9 +236,9 @@ def test_unaware_solver_contends_to_reply():
     pos = (2900.0, 2500.0)  # 400 m from the transmitter
     acts = b.on_delivery(st, req(), 0.4, pos, RandomStream(3))
     assert st.phase == ACCEPTING
-    delays = timer_delays(acts)
-    assert delays[GUARD] == P.cw_max_s
-    assert 0.0 <= delays[ACCEPT] < acceptance_window(400.0, P)
+    (slot, delay), = timer_delays(acts).items()  # a solver contends through ACCEPT alone
+    assert slot == ACCEPT
+    assert 0.0 <= delay < acceptance_window(400.0, P)
     assert st.pending_reply_ttl == 15
 
 
@@ -277,7 +277,8 @@ def test_ttl_zero_request_creates_awareness_but_no_reply():
     st = solver_state()
     acts = b.on_delivery(st, req(ttl=0), 0.4, (2600.0, 2500.0), RandomStream(3))
     assert st.phase == ACCEPTING
-    assert timer_delays(acts) == {GUARD: P.cw_max_s}
+    assert acts == []
+    assert not may_transmit(st)
 
 
 def test_relay_guard_expiry_starts_forwarding_contention():
@@ -643,6 +644,8 @@ def test_may_transmit_table():
     b.on_delivery(accepting, req(), 0.4, ORIGIN, RandomStream(3))
     solved = relay_state()
     b.on_delivery(solved, rep(ttl=0), 0.4, ORIGIN, RandomStream(3))
+    unanswering = solver_state()
+    b.on_delivery(unanswering, req(ttl=0), 0.4, ORIGIN, RandomStream(3))
     active, spent_active = dtn_carrier(b), dtn_carrier(b, ttl=1)
     frozen, spent_frozen = frozen_carrier(b), frozen_carrier(b)
     spent_frozen.stored_req = spent_frozen.stored_req._replace(ttl=0)
@@ -658,6 +661,7 @@ def test_may_transmit_table():
         ("frozen carrier with budget", frozen, {POLL}, True),
         ("frozen carrier spent", spent_frozen, {POLL}, False),
         ("solved relay, nothing armed", solved, set(), False),
+        ("solver that heard only a ttl-0 copy", unanswering, set(), False),
     ]
     for label, st, slots, expected in cases:
         assert set(st.live) == slots, label
