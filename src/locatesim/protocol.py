@@ -52,6 +52,10 @@ class Message(NamedTuple):
     ttl: int
 
 
+# builds a Message without the Python frame of the NamedTuple's own __new__
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True)
 class ProtocolParams:
     cw_min_s: float = 5.0
@@ -145,8 +149,11 @@ def may_transmit(st: EmergencyState) -> bool:
     request has hop budget: its DTN tick and its poll lead only to rebroadcasts
     of that request, and only deliveries add budget. Any other node can only
     while it has an armed timer; the source's beacon counts. Sound, not exact:
-    a solved node's reply relay (FORWARD) sends nothing if it pops inside the
-    reply cooldown, as when the node answered through ACCEPT after arming it.
+    a relay whose adopted request has ttl 0 arms GUARD, whose pop sends nothing
+    but enters DTN and draws the carry period; and a solved node's reply relay
+    (FORWARD) sends nothing if a spent reply (ttl 0) replaced its cached one
+    before the pop. (Every reply the node sends cancels its armed reply relay,
+    which could then only pop inside the reply cooldown.)
 
     So a timer that pops for a node this is false for is a spent carry tick:
     the DTN tick of a non-source carrier in DTN_ACTIVE whose stored request
@@ -183,7 +190,7 @@ class _SourceMixin:
     def _source_beacon(self, st: EmergencyState, t: float,
                        pos: tuple[float, float], stream: RandomStream) -> list[tuple]:
         p = self.params
-        msg = Message(E_REQ, st.node, pos, p.ttl_init)
+        msg = _new_tuple(Message, (E_REQ, st.node, pos, p.ttl_init))
         acts: list[tuple] = [(TRANSMIT, msg)]
         _set(st, acts, DTN, stream.uniform(p.cw_min_s, p.cw_max_s))
         return acts
@@ -203,29 +210,35 @@ def _cancel(st: EmergencyState, acts: list[tuple], slot: str) -> None:
 
 def _relayed(st: EmergencyState, msg: Message, pos: tuple[float, float]) -> Message:
     """The copy this node rebroadcasts: every relay spends one hop of the budget."""
-    return Message(msg.kind, st.node, pos, msg.ttl - 1)
+    return _new_tuple(Message, (msg.kind, st.node, pos, msg.ttl - 1))
 
 
 def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
     """The reply slot fires: a solver's own answer if one is armed, else the cached reply."""
     if st.pending_reply_ttl >= 0:  # armed only by solvers
-        rep = Message(E_REP, st.node, pos, st.pending_reply_ttl)
+        rep = _new_tuple(Message, (E_REP, st.node, pos, st.pending_reply_ttl))
         st.pending_reply_ttl = -1
         st.cached_rep = rep
         st.erep_sent_at = t
         acts: list[tuple] = [(TRANSMIT, rep)]
         _become_solved(st, acts)
+        _cancel(st, acts, FORWARD)  # a reply relay armed before would pop inside the cooldown
         return acts
     return _relay_cached_reply(st, t, pos)
 
 
 def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
-    """Relay the freshest reply on behalf of an earlier solver, if it has hop budget left."""
+    """Relay the freshest reply on behalf of an earlier solver, if it has hop budget left.
+
+    Sending stamps the reply cooldown, so an armed reply relay (FORWARD) could only
+    pop inside it and send nothing: it is cancelled."""
     rep = st.cached_rep
     if rep is None or rep.ttl < 1:
         return []
     st.erep_sent_at = t
-    return [(TRANSMIT, _relayed(st, rep, pos))]
+    acts: list[tuple] = [(TRANSMIT, _relayed(st, rep, pos))]
+    _cancel(st, acts, FORWARD)
+    return acts
 
 
 def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:

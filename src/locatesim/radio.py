@@ -74,7 +74,8 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     r - DRIFT_MARGIN of the transmitter then, and the squared compare rounds
     by a few ulps of r * r, far less than the margin. Loss draws happen in
     node-id order, and only for nodes whose delivery ratio is strictly
-    between 0 and 1, so the unit-disk model consumes no randomness.
+    between 0 and 1, so the unit-disk model consumes no randomness; it takes
+    every candidate within reach without asking `pdr`.
     """
     position_at = world.position_at
     tx_pos = position_at(tx_node, t)
@@ -82,15 +83,18 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     reach = profile.range_m
     candidates, r = world.near(x, y, t, reach)
     r2 = r * r
+    unit_disk = profile.pdr_model == UNIT_DISK
     out: list[int] = []
     for node, x0, y0 in candidates:
         dx = x0 - x
         dy = y0 - y
         if dx * dx + dy * dy > r2 or node == tx_node:
             continue
-        pos = position_at(node, t)
-        d = distance(tx_pos, pos)
+        d = distance(tx_pos, position_at(node, t))
         if d > reach:
+            continue
+        if unit_disk:  # pdr is 1 at every d <= reach
+            out.append(node)
             continue
         p = pdr(d, profile)
         if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):

@@ -744,6 +744,26 @@ def test_solved_node_answers_requests_from_cache():
     assert ACCEPT in timer_delays(acts)
 
 
+@pytest.mark.parametrize("make", [relay_state, solver_state], ids=["cached", "own"])
+def test_answering_through_accept_cancels_the_armed_reply_relay(make):
+    # the reply's FORWARD would pop inside the cooldown the answer stamps, and send nothing
+    b = locate()
+    st = make()
+    pos = (2900.0, 2500.0)
+    acts = b.on_delivery(st, rep(ttl=14, tx_pos=(3300.0, 2500.0)), 10.0, pos, RandomStream(3))
+    assert FORWARD in timer_delays(acts)
+    handle = object()
+    st.live[FORWARD] = handle  # what the runner stores when it arms the timer
+    acts = b.on_delivery(st, req(tx=3, ttl=8), 10.5, pos, RandomStream(4))
+    assert ACCEPT in timer_delays(acts)
+    acts = b.on_timer(st, ACCEPT, 11.0, pos, RandomStream(5))
+    (msg,) = sent(acts)
+    assert msg.kind == E_REP and st.erep_sent_at == 11.0
+    assert (CANCEL_TIMER, FORWARD, handle) in acts
+    assert st.live == {}
+    assert not may_transmit(st)
+
+
 def test_solved_is_absorbing_for_request_rebroadcast():
     b = locate()
     st = dtn_carrier(b)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locatesim import radio
 from locatesim.kernel import RandomStream
 from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioProfile,
                              broadcast, collided, lora_profile, pdr, wifi_profile)
@@ -86,6 +87,38 @@ def test_unit_disk_broadcast_consumes_no_randomness():
     stream = RandomStream(99)
     broadcast(world, 0, 0.0, lora_profile(), stream)
     assert stream.uniform(0.0, 1.0) == RandomStream(99).uniform(0.0, 1.0)
+
+
+def _ring():
+    # from the source: 400 m, exactly 500 m, 500.5 m (inside the index's 501 m disk
+    # but out of range) and 2,000 m
+    return static_world(5000.0, [(1000.0, 1000.0), (1400.0, 1000.0, Role.RELAY),
+                                 (1000.0, 1500.0, Role.RELAY), (499.5, 1000.0, Role.RELAY),
+                                 (3000.0, 1000.0, Role.RELAY)])
+
+
+def test_unit_disk_broadcast_takes_every_candidate_in_range_without_pdr(monkeypatch):
+    def boom(d, profile):
+        raise AssertionError(f"pdr({d}) asked under the unit disk")
+
+    monkeypatch.setattr(radio, "pdr", boom)
+    assert broadcast(_ring(), 0, 0.0, lora_profile(), RandomStream(5)) == [1, 2]
+
+
+def test_smooth_broadcast_asks_pdr_once_per_candidate_in_range(monkeypatch):
+    asked = []
+
+    def counted(d, profile):
+        asked.append(d)
+        return pdr(d, profile)
+
+    monkeypatch.setattr(radio, "pdr", counted)
+    stream = RandomStream(5)
+    out = broadcast(_ring(), 0, 0.0, lora_profile(pdr_model=SMOOTH), stream)
+    assert asked == [400.0, 500.0]  # in id order; pdr(500) is 0 under the smooth model
+    twin = RandomStream(5)
+    assert out == ([1] if twin.bernoulli(pdr(400.0, lora_profile(pdr_model=SMOOTH))) else [])
+    assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)  # one draw, for node 1
 
 
 def test_smooth_broadcast_draws_are_seed_deterministic():

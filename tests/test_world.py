@@ -1,6 +1,11 @@
 """Arena placement, role assignment, and boundary-bouncing mobility legs."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locatesim.kernel import RandomStream
 from locatesim.world import (SPEED_MAX, SPEED_MIN, MobilityLeg, NodeRecord, Role,
@@ -12,6 +17,21 @@ from topologies import still_leg
 def test_distance():
     assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
     assert distance((1.0, 1.0), (1.0, 1.0)) == 0.0
+
+
+_coord = st.floats(allow_nan=False, allow_infinity=False)  # includes ±0, subnormals, ±max
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.tuples(_coord, _coord), st.tuples(_coord, _coord))
+@example((0.0, -0.0), (-0.0, 0.0))
+@example((5e-324, -5e-324), (-5e-324, 2.5e-308))
+@example((1e308, -1e308), (-1e308, 1e308))  # offsets overflow to inf
+@example((388.8527133337484, 314.3144402234516), (0.0, 0.0))
+def test_distance_is_hypot_of_the_offsets_bit_for_bit(p, q):
+    got = distance(p, q)
+    want = math.hypot(p[0] - q[0], p[1] - q[1])
+    assert struct.pack("<d", got) == struct.pack("<d", want), (p, q, got, want)
 
 
 def test_solver_count_rounds_half_up():
