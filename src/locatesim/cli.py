@@ -292,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
+        # flag values arrive as text and are checked like config file entries
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--protocol", choices=PROTOCOLS)
-        p.add_argument("--n", type=int, help="mobile node count")
-        p.add_argument("--tau", type=float, help="solver fraction in [0, 1]")
-        p.add_argument("--runs", type=int, help="Monte Carlo repetitions")
-        p.add_argument("--seed", type=int, help="base seed; run i uses seed XOR i")
-        p.add_argument("--radio", choices=sorted(RADIO_PRESETS), help="radio preset")
-        p.add_argument("--p-start", dest="p_start", type=float,
-                       help="rebroadcast probability floor")
-        p.add_argument("--horizon", type=float, help="simulated cutoff [s]")
+        p.add_argument("--protocol", help=f"one of {', '.join(PROTOCOLS)}")
+        p.add_argument("--n", help="mobile node count")
+        p.add_argument("--tau", help="solver fraction in [0, 1]")
+        p.add_argument("--runs", help="Monte Carlo repetitions")
+        p.add_argument("--seed", help="base seed; run i uses seed XOR i")
+        p.add_argument("--radio", help=f"radio preset, one of {', '.join(RADIO_PRESETS)}")
+        p.add_argument("--p-start", dest="p_start", help="rebroadcast probability floor")
+        p.add_argument("--horizon", help="simulated cutoff [s]")
         p.add_argument("--out", help="output directory (default .)")
 
     run_p = sub.add_parser("run", help="simulate one parameter point")
@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="simulate a batch per axis value and protocol")
     common(sweep_p)
-    sweep_p.add_argument("--axis", dest="sweep_axis", choices=SWEEP_AXES,
-                         help="swept parameter")
+    sweep_p.add_argument("--axis", dest="sweep_axis",
+                         help=f"swept parameter, one of {', '.join(SWEEP_AXES)}")
     sweep_p.add_argument("--values", dest="sweep_values",
                          help="comma-separated axis values")
     sweep_p.add_argument("--protocols", help="comma-separated protocol list")

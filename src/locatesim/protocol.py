@@ -134,7 +134,7 @@ class EmergencyState:
     stored_req: Message | None = None  # adopted request copy; baselines: the relay payload
     cached_rep: Message | None = None  # freshest reply seen
     pending_reply_ttl: int = -1  # armed original-reply budget; -1 means cached reply
-    overheard: set = field(default_factory=set)  # distinct carriers heard since entering DTN
+    overheard: set = field(default_factory=set)  # distinct carriers heard in DTN (entered once)
     dtn_fire_at: float = -1.0  # absolute fire time of the live dtn timer
     dtn_remaining_s: float = -1.0  # residual dtn delay while frozen
     freeze_pos: tuple[float, float] | None = None  # anchor set iff phase == DTN_FROZEN
@@ -152,8 +152,8 @@ def may_transmit(st: EmergencyState) -> bool:
     a relay whose adopted request has ttl 0 arms GUARD, whose pop sends nothing
     but enters DTN and draws the carry period; and a solved node's reply relay
     (FORWARD) sends nothing if a spent reply (ttl 0) replaced its cached one
-    before the pop. (Every reply the node sends cancels its armed reply relay,
-    which could then only pop inside the reply cooldown.)
+    before the pop. (A reply relay is armed only outside the reply cooldown and
+    cancelled by every reply the node sends, so its pop needs no cooldown test.)
 
     So a timer that pops for a node this is false for is a spent carry tick:
     the DTN tick of a non-source carrier in DTN_ACTIVE whose stored request
@@ -230,8 +230,8 @@ def _fire_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[
 def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) -> list[tuple]:
     """Relay the freshest reply on behalf of an earlier solver, if it has hop budget left.
 
-    Sending stamps the reply cooldown, so an armed reply relay (FORWARD) could only
-    pop inside it and send nothing: it is cancelled."""
+    Sending restarts the reply cooldown, and an armed reply relay (FORWARD) would pop
+    inside it: it is cancelled, so a reply relay never pops inside the cooldown."""
     rep = st.cached_rep
     if rep is None or rep.ttl < 1:
         return []
@@ -388,9 +388,8 @@ class LocateBehavior(_SourceMixin):
             acts: list[tuple] = [(TRANSMIT, st.stored_req)]
             self._enter_dtn(st, t, stream, acts)
             return acts
-        if t - st.erep_sent_at >= self.params.cw_max_s:
-            return _relay_cached_reply(st, t, pos)
-        return []
+        # no cooldown test: armed only outside it, and every reply sent cancels the relay
+        return _relay_cached_reply(st, t, pos)
 
     def carry_tick(self, st: EmergencyState, t: float,
                    stream: RandomStream) -> tuple[bool, float]:
@@ -448,7 +447,6 @@ class LocateBehavior(_SourceMixin):
     def _enter_dtn(self, st: EmergencyState, t: float, stream: RandomStream,
                    acts: list[tuple]) -> None:
         st.phase = DTN_ACTIVE
-        st.overheard.clear()
         self._arm_dtn(st, acts, t,
                       stream.uniform(self.params.cw_min_s, self.params.cw_max_s))
         if self.dtn_optimized:
@@ -461,7 +459,7 @@ class LocateBehavior(_SourceMixin):
     def _freeze(self, st: EmergencyState, t: float, pos: tuple[float, float],
                 acts: list[tuple]) -> None:
         _cancel(st, acts, DTN)
-        st.dtn_remaining_s = max(st.dtn_fire_at - t, 0.0)
+        st.dtn_remaining_s = st.dtn_fire_at - t  # the live timer has not popped yet
         st.freeze_pos = pos
         st.phase = DTN_FROZEN
         if POLL not in st.live:  # else the dormant poll from _enter_dtn checks first

@@ -371,6 +371,43 @@ def test_main_bad_sweep_setting_exits_2_before_simulating(key, value, message, t
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command,flag,key,value", [
+    ("run", "--n", "n", "abc"),
+    ("run", "--n", "n", ""),  # a config file cannot carry an empty value
+    ("run", "--runs", "runs", "1.5"),
+    ("run", "--seed", "seed", "x"),
+    ("run", "--tau", "tau", "x"),
+    ("run", "--p-start", "p_start", "x"),
+    ("run", "--horizon", "horizon", "x"),
+    ("run", "--protocol", "protocol", "bogus"),
+    ("run", "--radio", "radio", "zigbee"),
+    ("sweep", "--axis", "sweep_axis", "side"),
+])
+def test_main_bad_flag_exits_2_with_the_config_entry_line(command, flag, key, value, tmp_path,
+                                                            monkeypatch, capsys):
+    """A flag value is checked by the code that checks the same config file entry, and
+    gives its one `error:` line: argparse checks no value."""
+    monkeypatch.setattr("locatesim.cli.sweep", no_simulation)
+    flags = {"--n": "5", "--tau": "0.2", "--runs": "1", "--horizon": "100"}
+    if command == "sweep":
+        flags.update({"--axis": "tau", "--values": "0.1"})
+
+    def exit_line(argv, out_dir):
+        assert main([command, *argv, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out_dir.exists()
+        return err
+
+    err = exit_line([a for f, v in {**flags, flag: value}.items() for a in (f, v)],
+                    tmp_path / "flag")
+    if value:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        rest = [a for f, v in flags.items() if f != flag for a in (f, v)]
+        assert exit_line(["--config", str(cfg), *rest], tmp_path / "file") == err
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_main_run_is_a_one_point_sweep(threads, tmp_path, monkeypatch):
     monkeypatch.setenv("LOCATE_SIM_THREADS", threads)

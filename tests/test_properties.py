@@ -216,6 +216,38 @@ def test_skipping_ignored_request_copies_changes_no_run(config):
     assert trace == every_trace
 
 
+# dense arenas and long hop budgets: carriers freeze and solved nodes relay replies
+carry_configs = scenarios(("locate", "locate-basic"), n=st.integers(2, 25),
+                          tau=st.floats(0.0, 0.5), ttl_init=st.integers(0, 16),
+                          dtn_dist_m=st.floats(5.0, 200.0), horizon_s=st.floats(600.0, 3600.0),
+                          side_m=st.floats(300.0, 2000.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(carry_configs)
+# a solved relay answers a request with its cached reply while its reply relay is armed;
+# were that relay not cancelled, it would pop 0.6 s into the cooldown
+@example(ScenarioConfig(n=8, tau=0.125, side_m=1207.0, runs=1, base_seed=846, horizon_s=600.0,
+                        params=ProtocolParams(ttl_init=3, dtn_dist_m=5.0)))
+def test_dtn_entry_freeze_and_reply_relay_invariants(config):
+    """What `LocateBehavior` relies on instead of testing it: a node enters DTN with no
+    carrier overheard, since it enters once; a delivery freezes a carrier before its
+    live DTN timer pops; and a reply relay pops outside the reply cooldown."""
+    def checked(name, holds):
+        method = getattr(LocateBehavior, name)
+
+        def wrapper(self, st, t, *rest):
+            assert holds(self, st, t), (name, config, st, t)
+            return method(self, st, t, *rest)
+        return mock.patch.object(LocateBehavior, name, wrapper)
+
+    with checked("_enter_dtn", lambda self, st, t: not st.overheard), \
+            checked("_freeze", lambda self, st, t: st.dtn_fire_at >= t), \
+            checked("_fire_forward", lambda self, st, t: st.phase == FORWARDING
+                    or t - st.erep_sent_at >= self.params.cw_max_s):
+        run_once(config, 0)
+
+
 extreme = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)  # subnormals too
 probability = st.floats(0.0, 1.0, exclude_min=True)
 # contention windows per horizon: up to 1e3, which tier-1 can afford, or well past the 1e6
