@@ -24,10 +24,6 @@ AGG_HEADER = "protocol,n,tau,p_start,runs,err_pct,ert_mean_s,ert_ci95_s,eo_mean,
 RADIO_PRESETS = {"lora": lora_profile, "wifi": wifi_profile}
 
 
-class ConfigError(Exception):
-    """Bad configuration input; reported on stderr with exit code 2."""
-
-
 def format_real(x: float) -> str:
     """Reals in CSV carry 6 significant digits, trailing zeros kept."""
     return format(float(x), "#.6g")
@@ -65,7 +61,7 @@ def _parse(raw: str, key: str, kind: type) -> int | float | str:
         return kind(raw)
     except ValueError as exc:
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+        raise ValueError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 def _fields(settings: dict[str, str], table: dict[str, tuple[str, type]]) -> dict[str, object]:
@@ -79,14 +75,14 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         key, sep, value = body.partition("=")
         if not sep or not key.strip() or not value.strip():
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line.rstrip()!r}")
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line.rstrip()!r}")
         entries[key.strip()] = value.strip()
     return entries
 
@@ -101,7 +97,7 @@ def build_settings(args: argparse.Namespace) -> dict[str, str]:
         file_entries = parse_config_file(args.config)
         unknown = sorted(set(file_entries) - KNOWN_KEYS)
         if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         settings.update(file_entries)
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:
@@ -111,35 +107,32 @@ def build_settings(args: argparse.Namespace) -> dict[str, str]:
 
 def scenario_from_settings(settings: dict[str, str]) -> ScenarioConfig:
     if "n" not in settings:
-        raise ConfigError("missing required setting `n` (node count)")
+        raise ValueError("missing required setting `n` (node count)")
     if "tau" not in settings:
-        raise ConfigError("missing required setting `tau` (solver fraction)")
+        raise ValueError("missing required setting `tau` (solver fraction)")
 
     radio_name = settings.get("radio", "lora")
     preset = RADIO_PRESETS.get(radio_name)
     if preset is None:
-        raise ConfigError(f"radio: expected one of {sorted(RADIO_PRESETS)}, got {radio_name!r}")
-    try:
-        return ScenarioConfig(**_fields(settings, SCENARIO_KEYS),
-                              radio=preset(**_fields(settings, RADIO_KEYS)),
-                              params=ProtocolParams(**_fields(settings, PARAM_KEYS)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"radio: expected one of {sorted(RADIO_PRESETS)}, got {radio_name!r}")
+    return ScenarioConfig(**_fields(settings, SCENARIO_KEYS),
+                          radio=preset(**_fields(settings, RADIO_KEYS)),
+                          params=ProtocolParams(**_fields(settings, PARAM_KEYS)))
 
 
 def sweep_plan(settings: dict[str, str]) -> tuple[str, list[float], list[str]]:
     """Parse the sweep settings; `sweep_points` and `ScenarioConfig` check them."""
     axis = settings.get("sweep_axis")
     if not axis:
-        raise ConfigError("missing required setting `sweep_axis`")
+        raise ValueError("missing required setting `sweep_axis`")
     raw_values = settings.get("sweep_values", "")
     try:
         values = [float(v) for v in raw_values.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"sweep_values: expected comma-separated numbers, "
-                          f"got {raw_values!r}") from exc
+        raise ValueError(f"sweep_values: expected comma-separated numbers, "
+                         f"got {raw_values!r}") from exc
     if not values:
-        raise ConfigError("missing required setting `sweep_values`")
+        raise ValueError("missing required setting `sweep_values`")
     names = [p.strip() for p in settings.get("protocols", "").split(",") if p.strip()]
     return axis, values, names
 
@@ -320,7 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # `--flag -1e5` goes to argparse as `--flag=-1e5`: it takes a value that starts with
+    # one `-` and is not a plain negative number (`-1e5`, `-inf`) for an option
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = tokens[-1] if tokens else ""
+        if token.startswith("-") and not token.startswith("--") and flag.startswith("--") \
+                and "=" not in flag and flag != "--help":
+            tokens[-1] = f"{flag}={token}"
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
 
     if args.command == "selftest":
         ok, lines = selftest_report()
@@ -339,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             points = sweep_points(config, axis, values, names or None)
         worker_count(sum(cfg.runs for cfg in points))
         out_dir = settings.get("out", ".")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,8 +132,8 @@ class EmergencyState:
     phase: int = UNAWARE
     live: dict = field(default_factory=dict)  # armed timer slot -> queue handle
     stored_req: Message | None = None  # adopted request copy; baselines: the relay payload
-    cached_rep: Message | None = None  # freshest reply seen
-    pending_reply_ttl: int = -1  # armed original-reply budget; -1 means cached reply
+    cached_rep: Message | None = None  # freshest reply seen; set in every solved non-source
+    pending_reply_ttl: int = -1  # own-reply budget while ACCEPT is armed for one, else -1
     overheard: set = field(default_factory=set)  # distinct carriers heard in DTN (entered once)
     dtn_fire_at: float = -1.0  # absolute fire time of the live dtn timer
     dtn_remaining_s: float = -1.0  # residual dtn delay while frozen
@@ -233,7 +233,7 @@ def _relay_cached_reply(st: EmergencyState, t: float, pos: tuple[float, float]) 
     Sending restarts the reply cooldown, and an armed reply relay (FORWARD) would pop
     inside it: it is cancelled, so a reply relay never pops inside the cooldown."""
     rep = st.cached_rep
-    if rep is None or rep.ttl < 1:
+    if rep.ttl < 1:
         return []
     st.erep_sent_at = t
     acts: list[tuple] = [(TRANSMIT, _relayed(st, rep, pos))]
@@ -343,9 +343,7 @@ class LocateBehavior(_SourceMixin):
         elif st.phase == SOLVED:
             # answer with the cached reply after the same close-biased wait;
             # demand-bounded by request traffic, so no cooldown applies here
-            if st.cached_rep is not None and st.cached_rep.ttl >= 1 \
-                    and ACCEPT not in st.live:
-                st.pending_reply_ttl = -1
+            if st.cached_rep.ttl >= 1 and ACCEPT not in st.live:
                 d = distance(msg.tx_pos, pos)
                 _set(st, acts, ACCEPT, stream.uniform(0.0, acceptance_window(d, self.params)))
         return acts
@@ -497,7 +495,6 @@ class FloodingBehavior(_SourceMixin):
         st.cached_rep = msg
         # SOLVED is absorbing, so only the first reply gets a relay decision
         if first and msg.ttl >= 1 and ACCEPT not in st.live and self._coin(stream):
-            st.pending_reply_ttl = -1
             _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
         return acts
 
@@ -523,9 +520,7 @@ class FloodingBehavior(_SourceMixin):
                 _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
             return acts
         if st.phase == SOLVED:
-            if st.cached_rep is not None and st.cached_rep.ttl >= 1 \
-                    and ACCEPT not in st.live and self._coin(stream):
-                st.pending_reply_ttl = -1
+            if st.cached_rep.ttl >= 1 and ACCEPT not in st.live and self._coin(stream):
                 _set(st, acts, ACCEPT, stream.uniform(0.0, self.params.cw_max_s))
             return acts
         if not st.req_done and msg.ttl >= 1:

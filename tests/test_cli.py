@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from locatesim.cli import (AGG_HEADER, KNOWN_KEYS, PARAM_KEYS, RADIO_KEYS, RUNS_HEADER,
-                           SCENARIO_KEYS, ConfigError, aggregate_csv_lines, build_parser,
+                           SCENARIO_KEYS, aggregate_csv_lines, build_parser,
                            build_settings, format_real, main, parse_config_file,
                            plot_script, runs_csv_lines, scenario_from_settings,
                            selftest_report, sweep_plan, write_outputs)
@@ -39,9 +39,9 @@ def test_parse_config_file(tmp_path):
 def test_parse_config_file_rejects_bad_lines(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n 40\n")
-    with pytest.raises(ConfigError, match="bad.cfg:1"):
+    with pytest.raises(ValueError, match="bad.cfg:1"):
         parse_config_file(cfg)
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         parse_config_file(tmp_path / "missing.cfg")
 
 
@@ -49,7 +49,7 @@ def test_unknown_config_keys_are_named(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 4\nspeed = 9\n")
     ns = argparse.Namespace(config=str(cfg))
-    with pytest.raises(ConfigError, match="speed"):
+    with pytest.raises(ValueError, match="speed"):
         build_settings(ns)
 
 
@@ -67,9 +67,9 @@ def test_flags_override_config_values(tmp_path):
 
 
 def test_scenario_requires_node_count_and_solver_fraction():
-    with pytest.raises(ConfigError, match="`n`"):
+    with pytest.raises(ValueError, match="`n`"):
         scenario_from_settings({"tau": "0.15"})
-    with pytest.raises(ConfigError, match="`tau`"):
+    with pytest.raises(ValueError, match="`tau`"):
         scenario_from_settings({"n": "40"})
 
 
@@ -94,24 +94,24 @@ def test_scenario_builds_with_overrides():
 
 def test_scenario_rejects_bad_values():
     base = {"n": "10", "tau": "0.15"}
-    with pytest.raises(ConfigError, match="n: expected an integer"):
+    with pytest.raises(ValueError, match="n: expected an integer"):
         scenario_from_settings({**base, "n": "ten"})
-    with pytest.raises(ConfigError, match="radio"):
+    with pytest.raises(ValueError, match="radio"):
         scenario_from_settings({**base, "radio": "zigbee"})
-    with pytest.raises(ConfigError, match="radio_pdr_model"):
+    with pytest.raises(ValueError, match="radio_pdr_model"):
         scenario_from_settings({**base, "radio_pdr_model": "cliff"})
-    with pytest.raises(ConfigError, match="radio_interference"):
+    with pytest.raises(ValueError, match="radio_interference"):
         scenario_from_settings({**base, "radio_interference": "capture"})
-    with pytest.raises(ConfigError):  # domain error surfaces as config error
+    with pytest.raises(ValueError):  # the domain error itself reaches main
         scenario_from_settings({**base, "tau": "1.5"})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         scenario_from_settings({**base, "cw_min": "30"})
-    with pytest.raises(ConfigError, match="arena side"):
+    with pytest.raises(ValueError, match="arena side"):
         scenario_from_settings({**base, "side": "0"})
-    with pytest.raises(ConfigError, match="thaw displacement"):
+    with pytest.raises(ValueError, match="thaw displacement"):
         scenario_from_settings({**base, "dtn_dist": "0"})
     for q in ("0", "1.5"):
-        with pytest.raises(ConfigError, match="q_flood"):
+        with pytest.raises(ValueError, match="q_flood"):
             scenario_from_settings({**base, "q_flood": q})
 
 
@@ -156,9 +156,9 @@ def test_sweep_plan_parses_axis_values_and_protocols():
     # sweep_plan only parses: the axis and the protocol names are checked by main
     assert sweep_plan({"sweep_axis": "side", "sweep_values": "1", "protocols": "gossip"}) \
         == ("side", [1.0], ["gossip"])
-    with pytest.raises(ConfigError, match="sweep_values"):
+    with pytest.raises(ValueError, match="sweep_values"):
         sweep_plan({"sweep_axis": "tau"})
-    with pytest.raises(ConfigError, match="sweep_values"):
+    with pytest.raises(ValueError, match="sweep_values"):
         sweep_plan({"sweep_axis": "tau", "sweep_values": "a,b"})
 
 
@@ -382,6 +382,10 @@ def test_main_bad_sweep_setting_exits_2_before_simulating(key, value, message, t
     ("run", "--protocol", "protocol", "bogus"),
     ("run", "--radio", "radio", "zigbee"),
     ("sweep", "--axis", "sweep_axis", "side"),
+    # values that start with `-` but are not plain negative numbers
+    ("run", "--horizon", "horizon", "-1e5"),
+    ("run", "--tau", "tau", "-inf"),
+    ("sweep", "--values", "sweep_values", "-0.1,0.2"),
 ])
 def test_main_bad_flag_exits_2_with_the_config_entry_line(command, flag, key, value, tmp_path,
                                                             monkeypatch, capsys):

@@ -18,6 +18,7 @@ from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, Lo
                                ProtocolParams)
 from locatesim.radio import lora_profile
 from locatesim.world import Role
+import test_acceptance as gate
 from paired import dtn_optimization
 from topologies import line_world, pair_world, static_world, walking
 
@@ -620,9 +621,9 @@ def test_transmitted_ttls_stay_within_the_initial_budget():
 
 
 def test_full_dtn_optimization_does_not_raise_overhead():
-    # statistical dominance check over 200 paired runs
-    cfg = ScenarioConfig(n=40, tau=0.15, runs=200, base_seed=1)
-    full_runs, full = run_batch(dataclasses.replace(cfg, protocol="locate"))
-    plain_runs, plain = run_batch(dataclasses.replace(cfg, protocol="locate-basic"))
+    # statistical dominance check over 200 paired runs: the acceptance gate's cached
+    # batches at n=40, tau 0.15, base seed 1
+    full_runs, full = gate.batch("locate")
+    plain_runs, plain = gate.batch("locate-basic")
     print(dtn_optimization(full_runs, plain_runs)[1])
     assert full.eo_mean <= plain.eo_mean

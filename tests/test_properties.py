@@ -1,6 +1,7 @@
 """Run-level invariants over generated small scenarios, read back from `trace=` lists."""
 
 import os
+from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_ENV,
                                    ScenarioConfig, run_batches, run_once)
 from locatesim.kernel import FREEZE_POLL, EventQueue, RandomStream
-from locatesim.protocol import (ACCEPTING, DTN_ACTIVE, DTN_FROZEN, E_REQ, FORWARDING, SOLVED,
-                                UNAWARE, FloodingBehavior, LocateBehavior, ProtocolParams)
+from locatesim.protocol import (ACCEPT, ACCEPTING, DTN_ACTIVE, DTN_FROZEN, E_REQ, FORWARDING,
+                                SOLVED, UNAWARE, FloodingBehavior, LocateBehavior,
+                                ProtocolParams)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
@@ -223,16 +225,24 @@ carry_configs = scenarios(("locate", "locate-basic"), n=st.integers(2, 25),
                           side_m=st.floats(300.0, 2000.0))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(carry_configs)
+# the baselines' solved relays answer requests with their cached reply, once per coin
+reply_configs = scenarios(("flooding", "probabilistic"), n=st.integers(2, 25),
+                          tau=st.floats(0.0, 0.5), ttl_init=st.integers(0, 16),
+                          horizon_s=st.floats(600.0, 3600.0), side_m=st.floats(300.0, 2000.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(carry_configs, reply_configs))
 # a solved relay answers a request with its cached reply while its reply relay is armed;
 # were that relay not cancelled, it would pop 0.6 s into the cooldown
 @example(ScenarioConfig(n=8, tau=0.125, side_m=1207.0, runs=1, base_seed=846, horizon_s=600.0,
                         params=ProtocolParams(ttl_init=3, dtn_dist_m=5.0)))
 def test_dtn_entry_freeze_and_reply_relay_invariants(config):
-    """What `LocateBehavior` relies on instead of testing it: a node enters DTN with no
+    """What the behaviors rely on instead of testing it: a node enters DTN with no
     carrier overheard, since it enters once; a delivery freezes a carrier before its
-    live DTN timer pops; and a reply relay pops outside the reply cooldown."""
+    live DTN timer pops; a reply relay pops outside the reply cooldown; and after every
+    handler call, the own-reply budget is -1 unless ACCEPT is armed, and every solved
+    node but the source has a cached reply."""
     def checked(name, holds):
         method = getattr(LocateBehavior, name)
 
@@ -241,10 +251,25 @@ def test_dtn_entry_freeze_and_reply_relay_invariants(config):
             return method(self, st, t, *rest)
         return mock.patch.object(LocateBehavior, name, wrapper)
 
-    with checked("_enter_dtn", lambda self, st, t: not st.overheard), \
-            checked("_freeze", lambda self, st, t: st.dtn_fire_at >= t), \
-            checked("_fire_forward", lambda self, st, t: st.phase == FORWARDING
-                    or t - st.erep_sent_at >= self.params.cw_max_s):
+    def handled(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, st, *rest):
+            acts = method(self, st, *rest)
+            assert ACCEPT in st.live or st.pending_reply_ttl == -1, (name, config, st)
+            assert st.phase != SOLVED or st.is_source or st.cached_rep is not None, \
+                (name, config, st)
+            return acts
+        return mock.patch.object(cls, name, wrapper)
+
+    with ExitStack() as stack:
+        for cls in (LocateBehavior, FloodingBehavior):
+            for name in ("on_delivery", "on_timer", "on_freeze_poll"):
+                stack.enter_context(handled(cls, name))
+        stack.enter_context(checked("_enter_dtn", lambda self, st, t: not st.overheard))
+        stack.enter_context(checked("_freeze", lambda self, st, t: st.dtn_fire_at >= t))
+        stack.enter_context(checked("_fire_forward", lambda self, st, t: st.phase == FORWARDING
+                                    or t - st.erep_sent_at >= self.params.cw_max_s))
         run_once(config, 0)
 
 
