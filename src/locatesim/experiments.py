@@ -78,8 +78,8 @@ class ScenarioConfig:
         if self.horizon_s > 1e6 * self.params.cw_max_s:
             raise ValueError(f"horizon {self.horizon_s} s exceeds 1e6 contention windows "
                              f"(cw_max {self.params.cw_max_s} s)")
-        # a frozen carrier's poll walks the lattice to the horizon one addition at a time,
-        # which past 2**53 s no longer advances
+        # a frozen carrier's poll walks the lattice toward its thawing tick one addition
+        # at a time, which past 2**53 s no longer advances
         if self.horizon_s > 1e6 * POLL_PERIOD_S:
             raise ValueError(f"horizon {self.horizon_s} s exceeds 1e6 poll periods "
                              f"({POLL_PERIOD_S} s)")
@@ -129,7 +129,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     and arms the node's POLL slot at the first tick it could reach: no node
     outruns max(SPEED_MAX, its current leg speed). The lattice is still built
     by repeated addition, so the thawing tick is the same float as with every
-    tick popped.
+    tick popped. A carrier that cannot reach that tick by the horizon skips the
+    walk: its poll is armed at horizon + POLL_PERIOD_S instead, past the horizon
+    like the tick the walk would have stopped at, so it never pops either.
 
     Every node an event reaches takes one path: a DELIVERY supplies its
     receivers in `broadcast`'s order, a TIMER or FREEZE_POLL its own node (a
@@ -233,8 +235,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                 due = t + POLL_PERIOD_S
                 slack = act[1] - DRIFT_MARGIN
                 vmax = max(SPEED_MAX, world.nodes[node].leg.speed)
-                while (due - t) * vmax < slack and due <= horizon:
-                    due += POLL_PERIOD_S
+                if (horizon - t) * vmax < slack:
+                    # every tick up to the horizon fails the walk's first test, which only
+                    # grows with due: the poll can never pop, so it waits past the horizon
+                    due = horizon + POLL_PERIOD_S
+                else:
+                    while (due - t) * vmax < slack and due <= horizon:
+                        due += POLL_PERIOD_S
                 st.live[POLL] = schedule(due, FREEZE_POLL, node, None)
             else:
                 raise RuntimeError(f"unknown action opcode {op}")

@@ -73,13 +73,24 @@ class EventQueue:
 
 
 class RandomStream:
-    """Seeded pseudo-random source; the draw sequence depends only on seed and call order."""
+    """Seeded pseudo-random source; the draw sequence depends only on seed and call order.
 
-    __slots__ = ("_rng", "_random")
+    `random` is the generator's own bound method, a float in [0, 1) per call. The
+    per-event draw sites call it directly, with `uniform`'s map or `bernoulli`'s test
+    written out, so each draw costs no Python frame: `LocateBehavior.carry_tick` (its
+    coin and period), `FloodingBehavior._coin`, the smooth-model loss coin in
+    `radio.broadcast`, and `World.random`'s placement plus `world._new_leg`'s heading
+    and speed. Each relies on bounds validated where they are built: `ProtocolParams`
+    (0 <= cw_min < cw_max, p_start and q_flood in (0, 1]), the loss coin's own
+    0 < p < 1 branch, `World`'s finite positive side, and the speed and heading
+    constants. Every other draw goes through `uniform` or `bernoulli`.
+    """
+
+    __slots__ = ("_rng", "random")
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
-        self._random = self._rng.random  # bound once for the hot uniform and bernoulli
+        self.random = self._rng.random
 
     def uniform(self, lo: float, hi: float) -> float:
         """Draw from [lo, hi); returns lo when the interval is degenerate."""
@@ -87,14 +98,14 @@ class RandomStream:
             raise ValueError(f"uniform bounds out of order: [{lo}, {hi})")
         if lo == hi:
             return lo
-        u = lo + (hi - lo) * self._random()
+        u = lo + (hi - lo) * self.random()
         # guard the half-open upper bound against rounding
         return u if u < hi else math.nextafter(hi, lo)
 
     def bernoulli(self, p: float) -> bool:
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"bernoulli probability {p} outside [0, 1]")
-        return self._random() < p
+        return self.random() < p
 
     def sample(self, population, k: int) -> list:
         return self._rng.sample(population, k)

@@ -3,7 +3,12 @@
 Handlers are pure with respect to the event loop: they mutate only their own
 per-node state and return a list of action tuples for the runner to interpret.
 Every random draw goes through the stream passed in, in a fixed order, so a
-seed fully determines behavior. Two predicates read a state for the runner:
+seed fully determines behavior. The per-event draws, `LocateBehavior.carry_tick`
+(coin, then period) and `FloodingBehavior._coin`, call `stream.random` with
+`bernoulli`'s test and `uniform`'s map written out, unchecked: `ProtocolParams`
+already gives 0 <= cw_min < cw_max and p_start, q_flood in (0, 1] (see
+`kernel.RandomStream`). Every other draw goes through `uniform`, whose degenerate
+window draws nothing. Two predicates read a state for the runner:
 `may_transmit` (can the node still transmit before it hears another message)
 and each behavior's `ignores_request` (would a request copy leave the node and
 the stream as they are).
@@ -404,8 +409,15 @@ class LocateBehavior(_SourceMixin):
             p = self._carry_p.get(heard)
             if p is None:
                 p = self._carry_p[heard] = dtn_forward_probability(self.params.p_start, heard)
-        coin = stream.bernoulli(p)
-        period = stream.uniform(self.params.cw_min_s, self.params.cw_max_s)
+        # bernoulli(p), then uniform(cw_min, cw_max) written out: p lies in (0, 1] and
+        # ProtocolParams gives 0 <= cw_min < cw_max, so neither check could fail
+        random = stream.random
+        coin = random() < p
+        lo = self.params.cw_min_s
+        hi = self.params.cw_max_s
+        period = lo + (hi - lo) * random()
+        if period >= hi:  # the half-open bound, against rounding
+            period = math.nextafter(hi, lo)
         st.dtn_fire_at = t + period
         return coin, period
 
@@ -477,7 +489,7 @@ class FloodingBehavior(_SourceMixin):
 
     def _coin(self, stream: RandomStream) -> bool:
         q = self.q_flood
-        return q is None or stream.bernoulli(q)
+        return q is None or stream.random() < q  # bernoulli(q); q_flood lies in (0, 1]
 
     def on_delivery(self, st: EmergencyState, msg: Message, t: float,
                     pos: tuple[float, float], stream: RandomStream) -> list[tuple]:

@@ -97,7 +97,7 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
             out.append(node)
             continue
         p = pdr(d, profile)
-        if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):
+        if p >= 1.0 or (p > 0.0 and stream.random() < p):  # bernoulli(p) for 0 < p < 1
             out.append(node)
     return out
 

@@ -13,6 +13,8 @@ SPEED_MAX = 3.0  # m/s
 
 _SNAP = 1e-6  # m, endpoint snap to the arena edge
 
+_TURN = 2.0 * math.pi  # rad, the range of a leg's heading
+
 # m, slack on every speed-bound reach (World.near, the freeze poll's skipped ticks):
 # covers float rounding and the _SNAP pull of each new leg
 DRIFT_MARGIN = 1.0
@@ -151,14 +153,20 @@ def _new_leg(x: float, y: float, t: float, side: float, stream: RandomStream) ->
         y = 0.0
     elif side - y < _SNAP:
         y = side
+    # uniform(0, 2*pi) and uniform(SPEED_MIN, SPEED_MAX) written out, on constant bounds
+    random = stream.random
     while True:
-        heading = stream.uniform(0.0, 2.0 * math.pi)
+        heading = _TURN * random()
+        if heading >= _TURN:  # the half-open bound, against rounding
+            heading = math.nextafter(_TURN, 0.0)
         cx = math.cos(heading)
         cy = math.sin(heading)
         if (x > 0.0 or cx > 0.0) and (x < side or cx < 0.0) \
                 and (y > 0.0 or cy > 0.0) and (y < side or cy < 0.0):
             break
-    speed = stream.uniform(SPEED_MIN, SPEED_MAX)
+    speed = SPEED_MIN + (SPEED_MAX - SPEED_MIN) * random()
+    if speed >= SPEED_MAX:
+        speed = math.nextafter(SPEED_MAX, SPEED_MIN)
     vx = speed * cx
     vy = speed * cy
     hit = math.inf
@@ -184,6 +192,10 @@ class World:
     __slots__ = ("nodes", "side", "_index")
 
     def __init__(self, nodes: list[NodeRecord], side: float) -> None:
+        # placement draws from [0, side) without uniform's bound check, and a NaN
+        # position would keep _new_leg from ever accepting a heading
+        if not math.isfinite(side):
+            raise ValueError(f"arena side {side} must be finite")
         if side <= 0.0:
             raise ValueError(f"arena side {side} must be positive")
         self.nodes = nodes
@@ -199,9 +211,16 @@ class World:
         """
         c = side / 2.0
         still = MobilityLeg(c, c, 0.0, 0.0, 0.0, math.inf, 0.0, 0.0)
-        # built first, so a bad side is rejected before any leg is drawn
+        # built first, so a bad side is rejected before anything is drawn
         world = cls([NodeRecord(0, Role.SOURCE, True, still)], side)
-        positions = [(stream.uniform(0.0, side), stream.uniform(0.0, side)) for _ in range(n)]
+        # uniform(0, side) written out, x then y: 0 + (side - 0) * r is side * r
+        random = stream.random
+        top = math.nextafter(side, 0.0)  # a draw that rounds up to side is pulled here
+        positions = []
+        for _ in range(n):
+            x = side * random()
+            y = side * random()
+            positions.append((x if x < side else top, y if y < side else top))
         solver_ids = set(stream.sample(range(1, n + 1), solver_count(n, tau)))
         nodes = world.nodes
         solver, relay = Role.SOLVER, Role.RELAY  # once: enum members are slow to look up

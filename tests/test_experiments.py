@@ -14,6 +14,7 @@ from locatesim import experiments
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_batches, run_once, sweep,
                                    sweep_points, worker_count)
+from locatesim.kernel import FREEZE_POLL, EventQueue
 from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, LocateBehavior,
                                ProtocolParams)
 from locatesim.radio import lora_profile
@@ -386,6 +387,42 @@ def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
     assert res.end_time_s == 3600.0
     last_phase = {e[2]: e[3] for e in trace if e[0] == "phase"}
     assert sorted(node for node, phase in last_phase.items() if phase == DTN_FROZEN) == [2, 3, 4]
+
+
+# the static trio with a thaw distance no carrier can walk, at the 1e6 s horizon floor:
+# the result and trace as recorded while each frozen carrier's poll still walked the 1 s
+# lattice to the horizon
+NEVER_THAWS = (
+    RunResult(3, 2, True, 12.333058200159545, 6, 1, 1e6),
+    [("tx", 0.0, 0, 0, 16), ("aware", 0.4, 1), ("phase", 0.4, 1, 1), ("aware", 0.4, 2),
+     ("phase", 0.4, 2, 1), ("aware", 0.4, 3), ("phase", 0.4, 3, 1), ("aware", 0.4, 4),
+     ("phase", 0.4, 4, 1), ("tx", 11.933058200159545, 1, 1, 15),
+     ("phase", 11.933058200159545, 1, 5), ("phase", 12.333058200159545, 0, 5),
+     ("phase", 20.4, 2, 2), ("phase", 20.4, 3, 2), ("phase", 20.4, 4, 2),
+     ("tx", 20.771682143355566, 2, 0, 15), ("phase", 20.771682143355566, 2, 3),
+     ("tx", 20.957818605270916, 3, 0, 15), ("phase", 20.957818605270916, 3, 3),
+     ("phase", 21.171682143355564, 4, 3), ("tx", 30.793729007192727, 3, 0, 14),
+     ("tx", 35.07587886195096, 4, 0, 15), ("tx", 35.45984460988348, 2, 0, 14),
+     ("phase", 35.47587886195096, 2, 4), ("phase", 35.47587886195096, 3, 4),
+     ("phase", 35.85984460988348, 4, 4)])
+
+
+def test_a_poll_that_cannot_thaw_before_the_horizon_skips_the_lattice(monkeypatch):
+    cfg = ScenarioConfig(n=4, tau=0.25, horizon_s=1e6,
+                         params=ProtocolParams(p_start=1.0, dtn_dist_m=1e300))
+    polls = []
+    schedule = EventQueue.schedule
+
+    def recorded(queue, time, kind, node, data=None):
+        if kind == FREEZE_POLL:
+            polls.append(time)
+        return schedule(queue, time, kind, node, data)
+
+    monkeypatch.setattr(EventQueue, "schedule", recorded)
+    trace = []
+    assert (run_once(cfg, 3, world=_static_trio(), trace=trace), trace) == NEVER_THAWS
+    # each of the three frozen carriers arms its poll one period past the horizon
+    assert [t for t in polls if t > cfg.horizon_s] == [cfg.horizon_s + 1.0] * 3
 
 
 def test_frozen_carrier_with_hop_budget_is_not_cut_off():

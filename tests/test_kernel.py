@@ -125,3 +125,14 @@ def test_bernoulli_rate_tracks_probability():
     s = RandomStream(11)
     hits = sum(s.bernoulli(0.3) for _ in range(20000))
     assert math.isclose(hits / 20000.0, 0.3, abs_tol=0.02)
+
+
+TOP_DRAW = 1.0 - 2.0 ** -53  # the largest float random() returns
+
+
+def test_uniform_pulls_a_draw_that_rounds_up_to_hi():
+    s = RandomStream(7)
+    s.random = lambda: TOP_DRAW
+    assert 5.0 + (20.0 - 5.0) * TOP_DRAW == 20.0  # the map rounds onto the open bound
+    assert s.uniform(5.0, 20.0) == math.nextafter(20.0, 5.0)
+    assert s.bernoulli(1.0)

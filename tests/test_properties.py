@@ -295,8 +295,8 @@ def any_scenario(draw):
     cw_max = horizon / windows. A long horizon draws up to 1e3 windows, which the floor
     accepts, so its run is simulated; short ones also draw windows past the floor. One
     long horizon in two runs `locate` with range and thaw distance past the arena's
-    diagonal: carriers that hear each other freeze for good, and their polls walk the
-    lattice to the horizon."""
+    diagonal: carriers that hear each other freeze for good, and their polls are armed
+    past the horizon, which the budget counts as the lattice ticks in between."""
     long = draw(st.integers(0, 3)) == 3
     horizon = draw(st.floats(min_value=3600.0 if long else 0.0,
                              max_value=1e6 * POLL_PERIOD_S if long else 3600.0, exclude_min=True))
@@ -337,8 +337,9 @@ def any_scenario(draw):
 # gamma * d and d / radius overflow together in every contention window
 @example(({"n": 10, "tau": 0.5, "protocol": "locate", "side_m": 500.0, "base_seed": 1,
            "horizon_s": 600.0}, {}, {"gamma_per_m": 1e308, "radius_m": 1e-307}, 30.0))
-# two carriers hear each other and the source and freeze for good, so their polls walk
-# the lattice to the horizon: the 1e6 s floor, and ten times it
+# two carriers hear each other and the source and freeze for good, so their polls are
+# armed past the horizon, counted as the lattice ticks up to it: the 1e6 s floor, and ten
+# times it
 @example(({"n": 2, "tau": 0.0, "protocol": "locate", "side_m": 1000.0, "base_seed": 1,
            "horizon_s": 1e6}, {"range_m": 2000.0},
           {"cw_min_s": 500.0, "cw_max_s": 1e3, "dtn_dist_m": 1e300}, 1e3))

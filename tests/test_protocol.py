@@ -453,6 +453,44 @@ def test_carrier_tick_acts_on_the_carry_tick_draws(make):
     assert 0 < coins < 40 if b.dtn_optimized else coins == 40
 
 
+@pytest.mark.parametrize("params", [
+    P, ProtocolParams(cw_min_s=0.0, cw_max_s=3.0, p_start=0.05, q_flood=1.0),
+    ProtocolParams(cw_min_s=7.5, cw_max_s=7.500000000000002, p_start=1.0, q_flood=0.97)])
+@pytest.mark.parametrize("make", [LocateBehavior, FloodingBehavior])
+def test_per_event_draws_equal_bernoulli_and_uniform(params, make):
+    # carry ticks and relay coins draw from stream.random with bernoulli's test and
+    # uniform's map written out: the same values bit for bit, and the generator left
+    # where the reference calls leave it
+    stream, twin = RandomStream(5), RandomStream(5)
+    for gate in (True, False):
+        b = make(params, gate)
+        st = relay_state()
+        for k in range(200):
+            if make is FloodingBehavior:
+                q = params.q_flood if gate else None
+                assert b._coin(stream) == (q is None or twin.bernoulli(q))
+                continue
+            st.overheard = set(range(k % 4))
+            p = dtn_forward_probability(params.p_start, k % 4) if gate else 1.0
+            coin, period = b.carry_tick(st, 10.0 * k, stream)
+            want = twin.bernoulli(p), twin.uniform(params.cw_min_s, params.cw_max_s)
+            assert (coin, period.hex()) == (want[0], want[1].hex())
+            assert st.dtn_fire_at == 10.0 * k + period
+    assert stream._rng.getstate() == twin._rng.getstate()
+
+
+@pytest.mark.parametrize("make", [locate, basic])
+def test_carry_tick_pulls_a_period_that_rounds_up_to_cw_max(make):
+    # 5 + 15 * (1 - 2**-53) rounds to 20: the period is pulled below cw_max, as uniform does
+    b = make()
+    stream = RandomStream(5)
+    stream.random = lambda: 1.0 - 2.0 ** -53
+    coin, period = b.carry_tick(relay_state(), 30.0, stream)
+    assert (P.cw_min_s, P.cw_max_s) == (5.0, 20.0)
+    assert period == math.nextafter(20.0, 5.0) == stream.uniform(5.0, 20.0)
+    assert coin == (not b.dtn_optimized)  # p is 1 unoptimised, else 0.4
+
+
 def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
     # no solver, so the source beacons to the horizon; a 2-hop budget spends carriers early
     config = ScenarioConfig(n=12, tau=0.0, side_m=2000.0, runs=1, horizon_s=3600.0,

@@ -91,8 +91,43 @@ def test_random_world_legs_equal_start_leg_on_a_still_world(n, tau, side, seed):
     legs = [hand.start_leg(i, 0.0, twin) for i in range(1, n + 1)]
     assert w.nodes == hand.nodes
     assert [rec.leg for rec in w.nodes[1:]] == legs
-    assert [stream.uniform(0.0, 1.0) for _ in range(3)] \
-        == [twin.uniform(0.0, 1.0) for _ in range(3)]
+    assert stream._rng.getstate() == twin._rng.getstate()
+
+
+def _uniform_leg(x: float, y: float, side: float, twin: RandomStream) -> tuple[float, float]:
+    """The heading and speed of a leg from (x, y), drawn with uniform: headings are
+    redrawn until one points strictly into the arena."""
+    while True:
+        heading = twin.uniform(0.0, 2.0 * math.pi)
+        cx, cy = math.cos(heading), math.sin(heading)
+        if (x > 0.0 or cx > 0.0) and (x < side or cx < 0.0) \
+                and (y > 0.0 or cy > 0.0) and (y < side or cy < 0.0):
+            return heading, twin.uniform(SPEED_MIN, SPEED_MAX)
+
+
+def test_leg_draws_equal_uniform():
+    # _new_leg writes out uniform's map on stream.random: from corners, edges and the
+    # inside (where every heading is taken), the same heading and speed bit for bit,
+    # and the generator left where uniform leaves it
+    side = 100.0
+    stream, twin = RandomStream(13), RandomStream(13)
+    for x, y in [(0.0, 0.0), (side, side), (0.0, 40.0), (60.0, side), (37.5, 81.25)] * 40:
+        w = World([NodeRecord(0, Role.RELAY, False, still_leg(x, y))], side)
+        leg = w.start_leg(0, 0.0, stream)
+        heading, speed = _uniform_leg(x, y, side, twin)
+        assert (leg.heading.hex(), leg.speed.hex()) == (heading.hex(), speed.hex())
+    assert stream._rng.getstate() == twin._rng.getstate()
+
+
+def test_world_rejects_a_non_finite_side():
+    # placement draws on [0, side) without uniform's bound check, and from a NaN
+    # position no heading points inward, so the leg draw would never end
+    nodes = [NodeRecord(0, Role.SOURCE, True, still_leg(0.0, 0.0))]
+    for side in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            World(nodes, side)
+    with pytest.raises(ValueError, match="must be finite"):
+        World.random(0, 0.0, math.nan, RandomStream(1))
 
 
 def test_position_advances_linearly():
