@@ -11,7 +11,7 @@ from .kernel import DELIVERY, FREEZE_POLL, LEG_END, TIMER, EventQueue, RandomStr
 from .protocol import (CANCEL_TIMER, E_REQ, POLL, SET_TIMER, SOLVED, START_POLL, TRANSMIT,
                        EmergencyState, FloodingBehavior, LocateBehavior, ProtocolParams,
                        may_transmit)
-from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, collided, lora_profile
+from .radio import INTERFERENCE_COLLISION, RadioProfile, broadcast, lora_profile
 from .world import DRIFT_MARGIN, SPEED_MAX, Role, World
 
 THREADS_ENV = "LOCATE_SIM_THREADS"
@@ -122,7 +122,11 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     only leg ends and idle ticks until the horizon, so the run stops with
     end_time_s = horizon_s; a static world stops with the event after which
     nothing could transmit. Each node that may transmit has a timer in `live`,
-    and each is queued, so the queue cannot drain first.
+    and each is queued, so the queue cannot drain first (a `may_transmit`
+    patched to always hold can drain it, which ends the run at the horizon).
+    A LEG_END is queued only if its leg ends by the horizon: a later one could
+    never pop, and leaving it out reorders nothing, as ties break on a
+    monotone insertion sequence.
 
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
     it is dtn_dist from its anchor. START_POLL carries the metres still left
@@ -166,6 +170,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     change of state. Patching `may_transmit` to always hold turns off both
     this path and the quiescence exit.
 
+    Collisions: a copy is dropped if another frame its receiver hears overlaps
+    it, endpoints included. All frames last `airtime` and are recorded as sent,
+    so a receiver's reception ends never decrease; it keeps the last two,
+    `prev_end` and `last_end`. All have started when a copy lands, so the copy
+    sent at `sent` is overlapped iff two ends (its own included) reach `sent`:
+    iff `prev_end >= sent`. A zero-delay reply starts as a copy lands but is
+    sent by a later event, so only the reply's own copy is dropped.
+
     A broadcast that reaches anyone is one DELIVERY event at t + airtime.
     This is exactly one event per copy: such copies would share the time and
     take consecutive insertion numbers, so nothing could pop between them, an
@@ -197,7 +209,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     ignores_request = behavior.ignores_request
     carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
     states: dict[int, EmergencyState] = {}
-    busy: dict[int, list[tuple[float, float]]] = {}
+    prev_end = [-math.inf] * len(world.nodes)  # per receiver id (collisions, above)
+    last_end = prev_end[:]
     aware = {SOURCE_ID}
     waiting = {SOURCE_ID}  # aware and not yet solved
     in_flight = 0  # DELIVERY events scheduled and not yet popped
@@ -228,7 +241,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
                     schedule(end, DELIVERY, node, (msg, receivers))
                     if collision:
                         for receiver in receivers:
-                            busy.setdefault(receiver, []).append((t, end))
+                            prev_end[receiver] = last_end[receiver]
+                            last_end[receiver] = end
             elif op == CANCEL_TIMER:
                 queue.cancel(act[2])
             elif op == START_POLL:
@@ -257,7 +271,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     for rec in world.nodes:
         if not rec.stationary:
             mobile = True
-            schedule(rec.leg.end, LEG_END, rec.id, None)
+            if rec.leg.end <= horizon:
+                schedule(rec.leg.end, LEG_END, rec.id, None)
 
     src = states[SOURCE_ID] = EmergencyState(
         SOURCE_ID, world.nodes[SOURCE_ID].role == Role.SOLVER, True)
@@ -272,8 +287,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             # quiescent: leg ends alone would carry a mobile world to the horizon
             end_time = horizon if mobile else queue.now
             break
-        # never drained here: a node in `able` has a timer in `live`, in_flight a DELIVERY
-        if peek() > horizon:
+        # drained only if may_transmit is patched: a node in `able` has a timer in `live`
+        nxt = peek()
+        if nxt is None or nxt > horizon:
             end_time = horizon
             break
         t, kind, node, data = pop()
@@ -285,7 +301,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             continue
         if kind == LEG_END:
             leg = world.start_leg(node, t, stream)
-            schedule(leg.end, LEG_END, node, None)
+            if leg.end <= horizon:
+                schedule(leg.end, LEG_END, node, None)
             continue
         delivery = kind == DELIVERY
         if delivery:
@@ -298,7 +315,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         for node in nodes:
             st = states.get(node)
             if delivery:
-                if collision and collided(busy[node], sent, t):
+                if collision and prev_end[node] >= sent:
                     continue
                 if request:
                     if node not in aware:

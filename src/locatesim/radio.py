@@ -1,4 +1,4 @@
-"""Broadcast propagation: who hears a transmission, and when the copy lands."""
+"""Broadcast propagation: who hears a transmission (`run_once` judges collisions)."""
 
 from __future__ import annotations
 
@@ -34,6 +34,8 @@ class RadioProfile:
             raise ValueError(f"airtime {self.airtime_s} must be positive")
         if self.beta <= 0.0:
             raise ValueError(f"smooth-model exponent beta {self.beta} must be positive")
+        if self.pdr_model == "unit-disk":  # the model spec's spelling of unit_disk
+            object.__setattr__(self, "pdr_model", UNIT_DISK)
         # named as the config keys, since the CLI reports these messages as they are
         if self.pdr_model not in (UNIT_DISK, SMOOTH):
             raise ValueError(f"radio_pdr_model: expected {UNIT_DISK!r} or {SMOOTH!r}, "
@@ -101,23 +103,3 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
             out.append(node)
     return out
 
-
-def collided(intervals: list[tuple[float, float]], start: float, end: float) -> bool:
-    """Whether the reception [start, end] overlaps another one at the same receiver.
-
-    `intervals` holds the receiver's receptions sent so far, the one under
-    test included; overlap is inclusive at both ends. A copy is judged as it
-    lands, and a frame starting at that instant (a zero-delay reply) is sent
-    after, so only that frame's own copy is dropped. Called in delivery
-    order, it drops the entries that ended before `start`: every frame has
-    the same airtime, so no later reception can overlap them either.
-    """
-    hits = 0
-    keep = []
-    for s, e in intervals:
-        if e >= start:
-            keep.append((s, e))
-            if s <= end:
-                hits += 1
-    intervals[:] = keep
-    return hits >= 2  # the interval under test is its own first hit

@@ -14,7 +14,7 @@ from locatesim.cli import (AGG_HEADER, KNOWN_KEYS, PARAM_KEYS, RADIO_KEYS, RUNS_
                            selftest_report, sweep_plan, write_outputs)
 from locatesim.experiments import THREADS_ENV, ScenarioConfig, SweepRow, run_batch
 from locatesim.protocol import ProtocolParams
-from locatesim.radio import RadioProfile, wifi_profile
+from locatesim.radio import UNIT_DISK, RadioProfile, wifi_profile
 
 
 def test_format_real_keeps_six_significant_digits():
@@ -252,6 +252,19 @@ def test_main_reruns_are_byte_identical(tmp_path):
     assert main(RUN_ARGS + ["--out", str(b)]) == 0
     assert (a / "runs.csv").read_bytes() == (b / "runs.csv").read_bytes()
     assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
+
+
+def test_the_spec_spelling_unit_disk_gives_the_same_csvs(tmp_path):
+    assert RadioProfile(pdr_model="unit-disk") == RadioProfile(pdr_model=UNIT_DISK)
+    outputs = []
+    for spelling in ("unit_disk", "unit-disk"):
+        cfg = tmp_path / f"{spelling}.cfg"
+        cfg.write_text(f"n = 8\ntau = 0.25\nruns = 3\nhorizon = 600\n"
+                       f"radio_interference = collision\nradio_pdr_model = {spelling}\n")
+        out_dir = tmp_path / spelling
+        assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        outputs.append([(out_dir / name).read_bytes() for name in ("runs.csv", "aggregate.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_main_sweep_writes_plot_script(tmp_path, capsys):

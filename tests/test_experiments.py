@@ -1,6 +1,7 @@
 """End-to-end runs, batch determinism, aggregation math, and sweep assembly."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -10,15 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from locatesim import experiments
+from locatesim import experiments, world
 from locatesim.experiments import (PROTOCOLS, THREADS_ENV, RunResult, ScenarioConfig,
                                    aggregate, run_batch, run_batches, run_once, sweep,
                                    sweep_points, worker_count)
-from locatesim.kernel import FREEZE_POLL, EventQueue
+from locatesim.kernel import FREEZE_POLL, LEG_END, EventQueue
 from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, LocateBehavior,
                                ProtocolParams)
-from locatesim.radio import lora_profile
-from locatesim.world import Role
+from locatesim.radio import INTERFERENCE_COLLISION, SMOOTH, lora_profile
+from locatesim.world import Role, World
 import test_acceptance as gate
 from paired import dtn_optimization
 from topologies import line_world, pair_world, static_world, walking
@@ -425,6 +426,67 @@ def test_a_poll_that_cannot_thaw_before_the_horizon_skips_the_lattice(monkeypatc
     assert [t for t in polls if t > cfg.horizon_s] == [cfg.horizon_s + 1.0] * 3
 
 
+def test_no_leg_end_is_queued_past_the_horizon(monkeypatch):
+    # a 30 min run with smooth loss and collisions that stays unsolved to the horizon;
+    # the last leg of each of its 40 mobile nodes ends past the horizon
+    cfg = ScenarioConfig(n=40, tau=0.15, horizon_s=1800.0, radio=lora_profile(
+        pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION))
+    leg_ends, queued = [], []
+    new_leg, schedule = world._new_leg, EventQueue.schedule
+
+    def recorded_leg(*args):
+        leg = new_leg(*args)
+        leg_ends.append(leg.end)
+        return leg
+
+    def recorded(queue, time, kind, node, data=None):
+        if kind == LEG_END:
+            queued.append(time)
+        return schedule(queue, time, kind, node, data)
+
+    monkeypatch.setattr(world, "_new_leg", recorded_leg)  # placement and every leg end
+    monkeypatch.setattr(EventQueue, "schedule", recorded)
+    trace = []
+    result = run_once(cfg, 2, trace=trace)
+    assert sum(end > cfg.horizon_s for end in leg_ends) == 40
+    assert queued == [end for end in leg_ends if end <= cfg.horizon_s]
+    # as recorded when every leg end was queued
+    assert result == RunResult(2, 3, False, None, 170, 0, 1800.0)
+    assert len(trace) == 177
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == \
+        "528338a920d1c413aeb369cab524c0d16c43db2be13d276df3af2d12e38b7a78"
+
+
+def test_a_leg_ending_at_the_horizon_still_ends(monkeypatch):
+    started = []
+    start_leg = World.start_leg
+
+    def recorded(self, node, t, stream):
+        leg = start_leg(self, node, t, stream)
+        started.append((node, t, leg.end))
+        return leg
+
+    monkeypatch.setattr(World, "start_leg", recorded)
+
+    def legs_started(horizon_s):
+        # node 1 walks east from x = 500 m at 5 m/s and reaches the edge of the 1 km arena
+        # at t = 100 s; the source keeps beaconing, so only the horizon ends the run
+        walker = walking(static_world(1000.0, [(0.0, 500.0), (500.0, 500.0, Role.RELAY)]),
+                         1, 5.0)
+        cfg = ScenarioConfig(n=1, tau=0.0, protocol="flooding", side_m=1000.0,
+                             horizon_s=horizon_s)
+        started.clear()
+        assert run_once(cfg, 0, world=walker).end_time_s == horizon_s
+        return [(node, t) for node, t, _ in started]
+
+    # the hand-built leg ends at the horizon and pops; the next one ends past it
+    assert legs_started(100.0) == [(1, 100.0)]
+    drawn_end = started[0][2]
+    assert drawn_end > 100.0
+    # so does a drawn leg that ends at the horizon
+    assert legs_started(drawn_end) == [(1, 100.0), (1, drawn_end)]
+
+
 def test_frozen_carrier_with_hop_budget_is_not_cut_off():
     cfg = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
     trace = []
@@ -474,6 +536,26 @@ def test_quiescent_exit_equals_a_run_to_the_horizon(protocol, monkeypatch):
         assert dataclasses.replace(full, end_time_s=res.end_time_s) == res, idx
         # nothing was transmitted, and nobody became aware, after the quiescent exit
         assert [e for e in full_trace if e[0] != "phase"] == [e for e in trace if e[0] != "phase"]
+
+
+def test_a_never_quiescent_run_whose_queue_drains_ends_at_the_horizon(monkeypatch):
+    # flooding's relays arm nothing once they have relayed, and the solved source stops
+    # beaconing, so with may_transmit patched to always hold, run 3's queue drains after
+    # its last leg end before the horizon; the run still ends at the horizon, as the
+    # quiescent exit has it
+    cfg = ScenarioConfig(n=20, tau=0.15, protocol="flooding", horizon_s=3600.0)
+    quiet = run_once(cfg, 3)
+    peek = EventQueue.peek
+    peeked = []
+
+    def recorded(queue):
+        peeked.append(peek(queue))
+        return peeked[-1]
+
+    monkeypatch.setattr(EventQueue, "peek", recorded)
+    monkeypatch.setattr(experiments, "may_transmit", lambda st: True)
+    assert run_once(cfg, 3) == quiet == RunResult(3, 2, True, 1407.598612785365, 119, 1, 3600.0)
+    assert peeked[-1] is None
 
 
 def test_a_reused_world_is_reindexed_for_each_run():

@@ -427,7 +427,7 @@ def test_pooled_batches_equal_serial(batch):
 
 
 # distinct spots, so no solver stands on a transmitter and replies with zero delay
-# at the very instant a copy lands (see radio.collided for that tie)
+# at the very instant a copy lands (see the collision rule in run_once for that tie)
 coordinate = st.integers(0, 1000).map(float)
 collision_worlds = st.lists(
     st.tuples(coordinate, coordinate, st.sampled_from((Role.SOLVER, Role.RELAY))),

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locatesim import radio
+from locatesim import experiments, radio
+from locatesim.experiments import ScenarioConfig, run_once
 from locatesim.kernel import RandomStream
+from locatesim.protocol import E_REQ, SET_TIMER, TRANSMIT, Message
 from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioProfile,
-                             broadcast, collided, lora_profile, pdr, wifi_profile)
+                             broadcast, lora_profile, pdr, wifi_profile)
 from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, distance
 
 from topologies import static_world, still_leg, walking
@@ -312,27 +314,132 @@ def test_near_memo_is_dropped_with_the_index():
     assert walker.near(1100.0, 2500.0, 52.5, 100.0) == (((1, 1100.0, 2500.0),), 151.0)
 
 
-def _survivors(receptions: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
-    """Replay (receiver, start, end) receptions through the rule in delivery order."""
-    busy: dict[int, list[tuple[float, float]]] = {}
-    for receiver, start, end in receptions:
-        busy.setdefault(receiver, []).append((start, end))
-    return [r for r in sorted(receptions, key=lambda r: r[2])
-            if not collided(busy[r[0]], r[1], r[2])]
+class _Scripted:
+    """A behavior for `run_once` whose source sends a request at each of `starts` (one timer
+    per start, armed in that order) and which records every copy the run loop hands to
+    `on_delivery` as (receiver, landing time)."""
+
+    def __init__(self, starts: list[float]):
+        self.starts = starts
+        self.heard: list[tuple[int, float]] = []
+
+    def start_emergency(self, st, t, pos, stream):
+        return [(SET_TIMER, slot, start) for slot, start in enumerate(self.starts)]
+
+    def on_timer(self, st, slot, t, pos, stream):
+        del st.live[slot]  # may_transmit reads `live`: the run goes quiet after the last
+        return [(TRANSMIT, Message(E_REQ, st.node, pos, 1))]
+
+    def on_delivery(self, st, msg, t, pos, stream):
+        self.heard.append((st.node, t))
+        return []
+
+    def ignores_request(self, st, msg):
+        return False
+
+    def on_freeze_poll(self, st, t, pos, stream):  # a static world never polls
+        raise AssertionError("no carrier in a scripted run")
 
 
-@pytest.mark.parametrize("receptions, survivors", [
-    pytest.param([(1, 0.0, 0.4), (1, 0.5, 0.9)], [(1, 0.0, 0.4), (1, 0.5, 0.9)],
-                 id="disjoint"),
-    pytest.param([(1, 0.0, 0.4), (1, 0.3, 0.7)], [], id="partial-overlap"),
-    pytest.param([(1, 0.0, 2.0), (1, 0.5, 0.9)], [], id="containment"),
-    pytest.param([(1, 0.0, 1.0), (1, 0.9, 1.9), (1, 1.8, 2.8)], [], id="chain-of-three"),
-    pytest.param([(1, 0.0, 0.4), (1, 0.4, 0.8)], [], id="touching-endpoints"),
-    pytest.param([(1, 0.0, 0.4), (2, 0.1, 0.5), (3, 0.2, 0.6)],
-                 [(1, 0.0, 0.4), (2, 0.1, 0.5), (3, 0.2, 0.6)], id="separate-receivers"),
+def _survivors(broadcasts: list[tuple[float, tuple[int, ...]]], airtime: float,
+               monkeypatch) -> list[tuple[int, float]]:
+    """Replay (start, receivers) broadcasts of one airtime through `run_once`, with the
+    source as every transmitter, and return the (receiver, landing time) of each copy that
+    passes the collision rule, in delivery order."""
+    behavior = _Scripted([start for start, _ in broadcasts])
+    # the source's timers pop in (start, arming) order, and each broadcast reaches its list
+    script = iter([receivers for _, receivers in
+                   sorted(broadcasts, key=lambda b: b[0])])  # sort is stable
+    monkeypatch.setattr(experiments, "broadcast", lambda *args: list(next(script)))
+    monkeypatch.setitem(experiments._BEHAVIORS, "flooding", lambda params: behavior)
+    n = max(max(receivers) for _, receivers in broadcasts)
+    world = static_world(1000.0, [(0.0, 0.0)] + [(10.0 * i, 0.0, Role.RELAY)
+                                                  for i in range(1, n + 1)])
+    config = ScenarioConfig(n=n, tau=0.0, protocol="flooding", side_m=1000.0, runs=1,
+                            horizon_s=1000.0, radio=lora_profile(
+                                airtime_s=airtime, interference=INTERFERENCE_COLLISION))
+    run_once(config, 0, world=world)
+    return behavior.heard
+
+
+@pytest.mark.parametrize("broadcasts, airtime, survivors", [
+    pytest.param([(0.0, (1,)), (0.5, (1,))], 0.4, [(1, 0.4), (1, 0.9)], id="disjoint"),
+    pytest.param([(0.0, (1,)), (0.3, (1,))], 0.4, [], id="partial-overlap"),
+    # with one airtime per run, a frame contains another only when both start together
+    pytest.param([(0.0, (1,)), (0.0, (1,))], 0.4, [], id="containment"),
+    pytest.param([(0.0, (1,)), (0.9, (1,)), (1.8, (1,))], 1.0, [], id="chain-of-three"),
+    pytest.param([(0.0, (1,)), (0.25, (1,)), (1.0, (1,))], 0.5, [(1, 1.5)],
+                 id="clear-after-a-pair"),
+    pytest.param([(0.0, (1,)), (0.5, (1,))], 0.5, [], id="touching-endpoints"),
+    pytest.param([(0.0, (1, 2)), (0.25, (2, 3))], 0.5, [(1, 0.5), (3, 0.75)],
+                 id="overlap-at-one-receiver-only"),
+    pytest.param([(0.0, (1,)), (0.1, (2,)), (0.2, (3,))], 0.4,
+                 [(1, 0.4), (2, 0.5), (3, 0.6000000000000001)], id="separate-receivers"),
 ])
-def test_collision_rule(receptions, survivors):
-    assert _survivors(receptions) == survivors
+def test_collision_rule(broadcasts, airtime, survivors, monkeypatch):
+    assert _survivors(broadcasts, airtime, monkeypatch) == survivors
+
+
+def _interval_collided(intervals: list[tuple[float, float]], start: float,
+                       end: float) -> bool:
+    """The interval rule the run loop's two reception ends replace: whether the reception
+    [start, end] overlaps another one recorded at its receiver, endpoints included;
+    `intervals` holds the receptions sent so far, the one under test included. Entries
+    that ended before `start` are dropped, as no later reception can overlap them."""
+    hits = 0
+    keep = []
+    for s, e in intervals:
+        if e >= start:
+            keep.append((s, e))
+            if s <= end:
+                hits += 1
+    intervals[:] = keep
+    return hits >= 2  # the interval under test is its own first hit
+
+
+def _interval_survivors(broadcasts: list[tuple[float, tuple[int, ...]]],
+                        airtime: float) -> list[tuple[int, float]]:
+    """`_survivors` under the interval rule, replayed in the run loop's order: a
+    broadcast's reception intervals are recorded when its timer pops, and its copies judged
+    when they land; at one instant the timers (armed first) pop before the landings, and
+    both go in broadcast order."""
+    order = sorted(range(len(broadcasts)), key=lambda i: broadcasts[i][0])
+    events = []
+    for rank, i in enumerate(order):
+        start = broadcasts[i][0]
+        events += [(start, 0, rank, i), (start + airtime, 1, rank, i)]
+    busy: dict[int, list[tuple[float, float]]] = {}
+    kept = []
+    for t, landing, _, i in sorted(events):
+        start, receivers = broadcasts[i]
+        for receiver in receivers:
+            if not landing:
+                busy.setdefault(receiver, []).append((start, start + airtime))
+            elif not _interval_collided(busy[receiver], t - airtime, t):
+                kept.append((receiver, t))
+    return kept
+
+
+@st.composite
+def _broadcast_scripts(draw):
+    airtime = draw(st.sampled_from([0.5, 0.4, 1.0]))
+    # half-airtime steps give exact ties and touching endpoints; floats give the rest
+    start = st.one_of(st.integers(0, 12).map(lambda k: k * airtime / 2),
+                      st.floats(0.0, 6.0, allow_nan=False))
+    receivers = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(sorted)
+    broadcasts = draw(st.lists(st.tuples(start, receivers.map(tuple)), min_size=1, max_size=8))
+    return broadcasts, airtime
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_broadcast_scripts())
+def test_two_reception_ends_give_the_interval_rule(script):
+    """The run loop's rule, a copy dropped when its receiver's second-latest reception end
+    is at or after the copy's send time, keeps the copies the interval rule keeps."""
+    broadcasts, airtime = script
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _survivors(broadcasts, airtime, monkeypatch) == \
+            _interval_survivors(broadcasts, airtime)
 
 
 def test_collision_constant_matches_profile_field():
