@@ -4,7 +4,8 @@
 
 Both checkouts' `src/locatesim` are copied into a temporary directory as two
 packages, `ab_this` and `ab_other` (every import inside the package is
-relative, so the copies import cleanly). Each of `points.py`'s fixed points is
+relative, so the copies import cleanly). Each of `points.py`'s fixed points,
+and two points shaped like benchmark workloads that no fixed point covers, is
 built from each package's own modules and makes RUNS runs. A run is timed
 REPEATS times on each side and keeps the least; the side that goes first
 alternates from run to run, so drift in host speed falls on both. The script
@@ -24,10 +25,26 @@ import tempfile
 import time
 from pathlib import Path
 
-from points import POINTS, ROOT, RUNS, configs
+from points import ROOT, RUNS, configs
 
 REPEATS = 3
 SIDES = ("ab_this", "ab_other")
+
+
+def shaped(package: str) -> list[tuple[str, object]]:
+    """The benchmark-shaped points, built from the modules of `package`.
+
+    `flooding` at n=120, tau 0.05 over 30 min has dense-flood-30m's shape, and
+    `locate` under smooth loss and collisions over 30 min has lossy-collide-30m's.
+    They live here, not in `points.py`, so its digests stay as pinned.
+    """
+    experiments = importlib.import_module(package + ".experiments")
+    radio = importlib.import_module(package + ".radio")
+    lossy = radio.lora_profile(pdr_model="smooth", interference="collision")
+    return [("flooding n=120", experiments.ScenarioConfig(
+                protocol="flooding", n=120, tau=0.05, horizon_s=1800.0, runs=RUNS)),
+            ("locate lossy", experiments.ScenarioConfig(
+                protocol="locate", horizon_s=1800.0, radio=lossy, runs=RUNS))]
 
 
 def best_of(run_once, config, i: int) -> tuple[float, object]:
@@ -51,10 +68,10 @@ def main() -> None:
             shutil.copytree(src, Path(tmp) / side, ignore=shutil.ignore_patterns("__pycache__"))
         sys.path.insert(0, tmp)
         run_once = [importlib.import_module(side + ".experiments").run_once for side in SIDES]
-        points = [configs(side) for side in SIDES]
+        points = [configs(side) + shaped(side) for side in SIDES]
         print(f"{'point':<16} {'this ms/run':>12} {'other ms/run':>13}  "
               "this/other per run: median (quartiles)")
-        for k, (name, _) in enumerate(POINTS):
+        for k, (name, _) in enumerate(points[0]):
             took = ([], [])
             for i in range(RUNS):
                 order = (0, 1) if i % 2 == 0 else (1, 0)

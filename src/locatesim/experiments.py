@@ -71,7 +71,7 @@ class ScenarioConfig:
         if self.horizon_s <= 0.0:
             raise ValueError(f"horizon {self.horizon_s} must be positive")
         # a leg lasts about side / speed: once that is below the clock's resolution, leg
-        # ends repeat at one time and the run never ends; 1 m is the grid's cell floor
+        # ends repeat at one time and the run never ends; 1 m is the radio index's least skin
         if self.side_m < DRIFT_MARGIN:
             raise ValueError(f"arena side {self.side_m} must be at least {DRIFT_MARGIN} m")
         # a beacon period averages at least cw_max / 2: the source expects under ~2e6 beacons

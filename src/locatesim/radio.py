@@ -67,17 +67,18 @@ def pdr(d: float, profile: RadioProfile) -> float:
 
 def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
               stream: RandomStream) -> list[int]:
-    """Ids of the nodes that receive a transmission starting at time t.
+    """Ids, ascending, of the nodes that receive a transmission starting at time t.
 
     Membership is decided from positions at the transmission start; the
     transmitter never hears itself. Of the candidates `world.near` returns,
     only those whose index-time position lies within its radius r of the
     transmitter are evaluated. That is exact: a node in range now lay within
     r - DRIFT_MARGIN of the transmitter then, and the squared compare rounds
-    by a few ulps of r * r, far less than the margin. Loss draws happen in
+    by a few ulps of r * r, far less than the margin. The nodes within reach
+    are sorted by id before any loss is drawn, so loss draws happen in
     node-id order, and only for nodes whose delivery ratio is strictly
-    between 0 and 1, so the unit-disk model consumes no randomness; it takes
-    every candidate within reach without asking `pdr`.
+    between 0 and 1; the unit-disk model consumes no randomness and takes
+    every node within reach without asking `pdr`.
     """
     position_at = world.position_at
     tx_pos = position_at(tx_node, t)
@@ -86,7 +87,7 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     candidates, r = world.near(x, y, t, reach)
     r2 = r * r
     unit_disk = profile.pdr_model == UNIT_DISK
-    out: list[int] = []
+    heard: list = []  # ids under the unit disk, else (id, distance) pairs
     for node, x0, y0 in candidates:
         dx = x0 - x
         dy = y0 - y
@@ -95,11 +96,14 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
         d = distance(tx_pos, position_at(node, t))
         if d > reach:
             continue
-        if unit_disk:  # pdr is 1 at every d <= reach
-            out.append(node)
-            continue
+        heard.append(node if unit_disk else (node, d))
+    heard.sort()
+    if unit_disk:  # pdr is 1 at every d <= reach
+        return heard
+    random = stream.random
+    out: list[int] = []
+    for node, d in heard:
         p = pdr(d, profile)
-        if p >= 1.0 or (p > 0.0 and stream.random() < p):  # bernoulli(p) for 0 < p < 1
+        if p >= 1.0 or (p > 0.0 and random() < p):  # bernoulli(p) for 0 < p < 1
             out.append(node)
     return out
-

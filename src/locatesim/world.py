@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import itemgetter
 
 from .kernel import RandomStream
 
@@ -53,35 +55,27 @@ Entry = tuple[int, float, float]  # a node's id and its position when the index 
 
 
 class _Index:
-    """Node entries (id, x, y) bucketed into square cells by position at build time t0.
+    """Node entries (id, x0, y0) at build time t0, sorted by x0, and their x0 column `xs`.
 
-    (x, y) is where `position_at` puts the node at t0. Cells are `reach` wide,
-    or the margin if that is wider, so a query never spans more than a few
-    cells. A coordinate u falls in column (or row) floor(u * inv), clamped into
-    [0, cols - 1]. That map never decreases in u, so every coordinate in
-    [lo, hi] falls between the columns of lo and hi. `boxes` memoises the
-    entries, ascending by id, of each box of cells queried so far; cells never
-    change within a build, so an entry lives exactly as long as the index.
+    (x0, y0) is where `position_at` puts the node at t0. `skin` is how far the
+    fastest node may drift before the index is rebuilt: one reach, or the
+    margin if that is wider.
     """
 
-    __slots__ = ("t0", "reach", "cell", "inv", "cols", "vmax", "cells", "boxes")
+    __slots__ = ("t0", "reach", "skin", "vmax", "entries", "xs")
 
     def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
         self.t0 = t0
         self.reach = reach
-        self.cell = cell = max(reach, DRIFT_MARGIN)
-        self.inv = inv = 1.0 / cell
-        self.cols = cols = max(1, math.ceil(side / cell))
-        last = cols - 1
-        floor = math.floor  # cheaper than int(), and the same column once clamped
+        self.skin = max(reach, DRIFT_MARGIN)
         vmax = SPEED_MAX
-        cells: dict[int, list[Entry]] = {}
+        entries: list[Entry] = []
         for rec in nodes:
             leg = rec.leg
             x = leg.x0
             y = leg.y0
             speed = leg.speed
-            if speed != 0.0:  # as in position_at
+            if speed != 0.0:  # as in position_at; a still node keeps even a spot off the arena
                 dt = t0 - leg.start
                 x += leg.vx * dt
                 y += leg.vy * dt
@@ -95,37 +89,12 @@ class _Index:
                     y = side
                 if speed > vmax:
                     vmax = speed
-            # still nodes placed off the arena by hand, and the far edges, go to edge cells
-            ix = floor(x * inv)
-            if ix < 0:
-                ix = 0
-            elif ix > last:
-                ix = last
-            iy = floor(y * inv)
-            if iy < 0:
-                iy = 0
-            elif iy > last:
-                iy = last
-            cells.setdefault(iy * cols + ix, []).append((rec.id, x, y))
+            entries.append((rec.id, x, y))
+        entries.sort(key=itemgetter(1))
         # fastest leg now, which bounds the speed; _new_leg never draws a faster one
         self.vmax = vmax
-        self.cells = cells
-        self.boxes: dict[tuple[int, int, int, int], tuple[Entry, ...]] = {}
-
-    def scan(self, i0: int, i1: int, j0: int, j1: int) -> tuple[Entry, ...]:
-        """Entries, ascending by id, in the cells of columns i0..i1 and rows j0..j1."""
-        cols = self.cols
-        cells = self.cells
-        xs = range(i0, i1 + 1)
-        out: list[Entry] = []
-        for j in range(j0, j1 + 1):
-            row = j * cols
-            for i in xs:
-                entries = cells.get(row + i)
-                if entries is not None:
-                    out += entries
-        out.sort()
-        return tuple(out)
+        self.entries = entries
+        self.xs = [entry[1] for entry in entries]
 
 
 def solver_count(n: int, tau: float) -> int:
@@ -250,41 +219,27 @@ class World:
             y = side
         return x, y
 
-    def near(self, x: float, y: float, t: float, reach: float) -> tuple[tuple[Entry, ...], float]:
+    def near(self, x: float, y: float, t: float, reach: float) -> tuple[list[Entry], float]:
         """Candidates for the nodes within `reach` of (x, y) at time t, and their radius r.
 
-        Each candidate is an entry (id, x0, y0), ascending by id, with the
+        Each candidate is an entry (id, x0, y0), in no set order, with the
         node's position at the index's build time t0. No node moves faster than
         the index's vmax, and clamping into the arena never lengthens a step,
         so one that is within reach at t was within
         r = reach + vmax * (t - t0) + DRIFT_MARGIN of the point at t0. The
-        candidates are every node bucketed in the cells that the square of
-        half-side r around the point touches: a superset of that disk, which a
-        caller narrows on (x0, y0). The index is rebuilt when t < t0, when the
-        drift passes one cell, or for another reach. Legs change only through
-        `start_leg`, which keeps it valid; after setting a leg by hand, call
-        `forget_index`. The candidates of a box of cells are gathered once per
-        build and shared by every query that clamps to the same box.
+        candidates are every entry with x0 in [x - r, x + r], one slice of the
+        x-sorted entries: a superset of that disk, which a caller narrows on
+        (x0, y0). The index is rebuilt when t < t0, when the drift passes its
+        skin, or for another reach. Legs change only through `start_leg`, which
+        keeps it valid; after setting a leg by hand, call `forget_index`.
         """
         idx = self._index
         if idx is None or t < idx.t0 or reach != idx.reach \
-                or idx.vmax * (t - idx.t0) > idx.cell:
+                or idx.vmax * (t - idx.t0) > idx.skin:
             idx = self._index = _Index(self.nodes, self.side, t, reach)
         r = reach + idx.vmax * (t - idx.t0) + DRIFT_MARGIN
-        inv = idx.inv
-        last = idx.cols - 1
-        i0 = math.floor((x - r) * inv)
-        i1 = math.floor((x + r) * inv)
-        j0 = math.floor((y - r) * inv)
-        j1 = math.floor((y + r) * inv)
-        box = (0 if i0 < 0 else last if i0 > last else i0,
-               0 if i1 < 0 else last if i1 > last else i1,
-               0 if j0 < 0 else last if j0 > last else j0,
-               0 if j1 < 0 else last if j1 > last else j1)
-        entries = idx.boxes.get(box)
-        if entries is None:
-            entries = idx.boxes[box] = idx.scan(*box)
-        return entries, r
+        xs = idx.xs
+        return idx.entries[bisect_left(xs, x - r):bisect_right(xs, x + r)], r
 
     def forget_index(self) -> None:
         """Drop the position index, so legs set by hand are seen by the next `near`."""

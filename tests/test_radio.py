@@ -12,7 +12,7 @@ from locatesim.kernel import RandomStream
 from locatesim.protocol import E_REQ, SET_TIMER, TRANSMIT, Message
 from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioProfile,
                              broadcast, lora_profile, pdr, wifi_profile)
-from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, distance
+from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, _Index, distance
 
 from topologies import static_world, still_leg, walking
 
@@ -99,12 +99,23 @@ def _ring():
                                  (3000.0, 1000.0, Role.RELAY)])
 
 
+def _reversed_line():
+    # ids run opposite to x, so the x-sorted index lists them last id first; from the
+    # source: 100 m, 300 m, 400 m and 600 m west
+    return static_world(5000.0, [(3000.0, 1000.0), (2900.0, 1000.0, Role.RELAY),
+                                 (2700.0, 1000.0, Role.RELAY), (2600.0, 1000.0, Role.RELAY),
+                                 (2400.0, 1000.0, Role.RELAY)])
+
+
 def test_unit_disk_broadcast_takes_every_candidate_in_range_without_pdr(monkeypatch):
     def boom(d, profile):
         raise AssertionError(f"pdr({d}) asked under the unit disk")
 
     monkeypatch.setattr(radio, "pdr", boom)
     assert broadcast(_ring(), 0, 0.0, lora_profile(), RandomStream(5)) == [1, 2]
+    # receivers come out ascending by id, whatever their order in x
+    assert broadcast(_reversed_line(), 0, 0.0, lora_profile(), RandomStream(5)) == [1, 2, 3]
+    assert broadcast(_reversed_line(), 2, 0.0, lora_profile(), RandomStream(5)) == [0, 1, 3, 4]
 
 
 def test_smooth_broadcast_asks_pdr_once_per_candidate_in_range(monkeypatch):
@@ -115,12 +126,23 @@ def test_smooth_broadcast_asks_pdr_once_per_candidate_in_range(monkeypatch):
         return pdr(d, profile)
 
     monkeypatch.setattr(radio, "pdr", counted)
+    smooth = lora_profile(pdr_model=SMOOTH)
     stream = RandomStream(5)
-    out = broadcast(_ring(), 0, 0.0, lora_profile(pdr_model=SMOOTH), stream)
+    out = broadcast(_ring(), 0, 0.0, smooth, stream)
     assert asked == [400.0, 500.0]  # in id order; pdr(500) is 0 under the smooth model
     twin = RandomStream(5)
-    assert out == ([1] if twin.bernoulli(pdr(400.0, lora_profile(pdr_model=SMOOTH))) else [])
+    assert out == ([1] if twin.bernoulli(pdr(400.0, smooth)) else [])
     assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)  # one draw, for node 1
+    # ids opposite to x: pdr is asked, and coins drawn, in id order all the same
+    for seed in range(20):
+        asked.clear()
+        stream = RandomStream(seed)
+        out = broadcast(_reversed_line(), 0, 0.0, smooth, stream)
+        assert asked == [100.0, 300.0, 400.0]
+        twin = RandomStream(seed)
+        assert out == [node for node, d in ((1, 100.0), (2, 300.0), (3, 400.0))
+                       if twin.bernoulli(pdr(d, smooth))]
+        assert stream.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)  # three draws
 
 
 def test_smooth_broadcast_draws_are_seed_deterministic():
@@ -142,15 +164,15 @@ def test_broadcast_with_a_range_shorter_than_the_index_margin():
     assert broadcast(world, 1, 7.0, profile, RandomStream(1)) == [0, 2]
 
 
-def test_nodes_a_cell_below_the_arena_are_indexed_in_the_edge_cells():
-    # 1 m cells for a 5 cm radio; a still node placed off the arena by hand keeps its spot
-    # (position_at does not clamp it), and a spot below 0 falls in column or row -1 or
-    # below, which the index clamps to 0
+def test_still_nodes_off_the_arena_are_indexed_at_their_own_spots():
+    # a still node placed off the arena by hand keeps its spot (position_at does not clamp
+    # it), and so does its entry; the slice x in [-2.03, 0.07] holds node 3 as well, which
+    # the disk then drops
     world = static_world(10.0, [(-0.98, -0.98), (-1.01, -1.01, Role.RELAY),
                                 (0.5, 0.5, Role.RELAY), (-1.5, 3.0, Role.RELAY)])
     profile = RadioProfile(range_m=0.05)
     candidates, r = world.near(-0.98, -0.98, 0.0, profile.range_m)
-    assert candidates == ((0, -0.98, -0.98), (1, -1.01, -1.01), (2, 0.5, 0.5))
+    assert sorted(candidates) == [(0, -0.98, -0.98), (1, -1.01, -1.01), (3, -1.5, 3.0)]
     assert r == profile.range_m + DRIFT_MARGIN
     assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == \
         _brute_force(world, 0, 0.0, profile, RandomStream(1)) == [1]
@@ -162,7 +184,8 @@ def test_a_walker_off_the_arena_is_indexed_where_position_at_clamps_it():
     # spot on the leg lies 1.28 km away, past the disk
     world = walking(static_world(5000.0, [(300.0, 2500.0), (-1000.0, 2500.0, Role.RELAY)]),
                     1, 2.0)
-    assert world.near(300.0, 2500.0, 10.0, 500.0)[0] == ((0, 300.0, 2500.0), (1, 0.0, 2500.0))
+    assert sorted(world.near(300.0, 2500.0, 10.0, 500.0)[0]) == \
+        [(0, 300.0, 2500.0), (1, 0.0, 2500.0)]
     assert broadcast(world, 0, 10.0, lora_profile(), RandomStream(1)) == [1]
 
 
@@ -246,20 +269,7 @@ def _advance(world: World, legs: RandomStream, t: float) -> float:
     return max([t] + [rec.leg.start for rec in world.nodes if not rec.stationary])
 
 
-def _scan_without_memo(world: World, x: float, y: float, t: float, reach: float):
-    """What `World.near` returns from the current index with its box memo emptied."""
-    idx = world._index
-    saved, idx.boxes = idx.boxes, {}
-    ids = world.near(x, y, t, reach)
-    assert world._index is idx  # the same build, so the same box
-    idx.boxes = saved
-    return ids
-
-
 def _check_broadcast(world, tx_node, t, profile, stream, twin):
-    x, y = world.position_at(tx_node, t)
-    near = world.near(x, y, t, profile.range_m)
-    assert near == _scan_without_memo(world, x, y, t, profile.range_m), (tx_node, t)
     assert broadcast(world, tx_node, t, profile, stream) == \
         _brute_force(world, tx_node, t, profile, twin), (tx_node, t)
 
@@ -274,44 +284,65 @@ def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
     for step, fractions in zip(steps, beats):
         t = _advance(world, legs, max(t + step, 0.0))
         for tx_node in range(len(world.nodes)):
-            for _ in range(2):  # the repeat at the same t reads the memo
-                _check_broadcast(world, tx_node, t, profile, stream, twin)
+            _check_broadcast(world, tx_node, t, profile, stream, twin)
         # the static source, at later times the same build can serve
         idx = world._index
         for f in fractions:
-            beat = _advance(world, legs, max(t, idx.t0 + f * idx.cell / idx.vmax))
+            beat = _advance(world, legs, max(t, idx.t0 + f * idx.skin / idx.vmax))
             _check_broadcast(world, 0, beat, profile, stream, twin)
         # the loss coin draws from stream.random as bernoulli does, to the generator state
         assert stream._rng.getstate() == twin._rng.getstate()
 
 
-def _ids(world: World, x: float, y: float, t: float, reach: float) -> tuple[int, ...]:
-    return tuple(entry[0] for entry in world.near(x, y, t, reach)[0])
+def _ids(world: World, x: float, y: float, t: float, reach: float) -> list[int]:
+    return sorted(entry[0] for entry in world.near(x, y, t, reach)[0])
 
 
-def test_near_memo_is_dropped_with_the_index():
-    # 100 m cells; node 1 stands 50 m east of the query point, node 2 800 m east
+def test_near_rebuilds_when_forgotten_for_a_new_reach_and_past_its_skin():
+    # node 1 stands 50 m east of the query point, node 2 800 m east
     world = static_world(5000.0, [(2500.0, 2500.0), (2550.0, 2500.0, Role.RELAY),
                                   (3300.0, 2500.0, Role.RELAY)])
-    assert world.near(2500.0, 2500.0, 0.0, 100.0) == \
-        (((0, 2500.0, 2500.0), (1, 2550.0, 2500.0)), 100.0 + DRIFT_MARGIN)
+    candidates, r = world.near(2500.0, 2500.0, 0.0, 100.0)
+    assert sorted(candidates) == [(0, 2500.0, 2500.0), (1, 2550.0, 2500.0)]
+    assert r == 100.0 + DRIFT_MARGIN
     # a leg set by hand is seen once the index is forgotten
     world.nodes[1].leg = still_leg(4000.0, 2500.0)
     # stale until forgotten: the entry keeps the spot at build time
-    assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == \
-        ((0, 2500.0, 2500.0), (1, 2550.0, 2500.0))
+    assert sorted(world.near(2500.0, 2500.0, 0.0, 100.0)[0]) == \
+        [(0, 2500.0, 2500.0), (1, 2550.0, 2500.0)]
     world.forget_index()
-    assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == ((0, 2500.0, 2500.0),)
-    # a new reach clamps a query from the origin to the same box numbers, in wider cells
-    assert _ids(world, 50.0, 50.0, 0.0, 100.0) == ()
-    assert _ids(world, 50.0, 50.0, 0.0, 2600.0) == (0, 1, 2)
-    # a step back in time rebuilds from the positions then, and the radius grows with the
-    # fastest node's drift since the build
+    assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == [(0, 2500.0, 2500.0)]
+    # another reach rebuilds, with a skin of that reach
+    built = world._index
+    assert _ids(world, 50.0, 50.0, 0.0, 4000.0) == [0, 1, 2]
+    assert world._index is not built and world._index.skin == 4000.0
+    # a step back in time rebuilds from the positions then, the radius grows with the
+    # fastest node's drift since the build, and a drift past the skin rebuilds
     walker = walking(static_world(5000.0, [(0.0, 0.0), (100.0, 2500.0, Role.RELAY)]), 1, 20.0)
-    assert walker.near(2100.0, 2500.0, 100.0, 100.0) == (((1, 2100.0, 2500.0),), 101.0)
-    assert _ids(walker, 2100.0, 2500.0, 50.0, 100.0) == ()
-    assert walker.near(1100.0, 2500.0, 50.0, 100.0) == (((1, 1100.0, 2500.0),), 101.0)
-    assert walker.near(1100.0, 2500.0, 52.5, 100.0) == (((1, 1100.0, 2500.0),), 151.0)
+    assert walker.near(2100.0, 2500.0, 100.0, 100.0) == ([(1, 2100.0, 2500.0)], 101.0)
+    assert _ids(walker, 2100.0, 2500.0, 50.0, 100.0) == []
+    assert walker.near(1100.0, 2500.0, 50.0, 100.0) == ([(1, 1100.0, 2500.0)], 101.0)
+    assert walker.near(1100.0, 2500.0, 55.0, 100.0) == ([(1, 1100.0, 2500.0)], 201.0)
+    assert walker.near(1210.0, 2500.0, 55.5, 100.0) == ([(1, 1210.0, 2500.0)], 101.0)
+
+
+def test_index_builds_keep_their_schedule(monkeypatch):
+    # the rebuild rule sets how often an index is built (40 `locate` runs at seed 1, LoRa
+    # and wifi); a change to it shows here even where every result stays exact
+    builds = [0]
+    build = _Index.__init__
+
+    def counted(self, *args):
+        builds[0] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(_Index, "__init__", counted)
+    for radio_profile, expected in ((lora_profile(), 342), (wifi_profile(), 16152)):
+        builds[0] = 0
+        config = ScenarioConfig(protocol="locate", runs=40, radio=radio_profile)
+        for i in range(40):
+            run_once(config, i)
+        assert builds[0] == expected, radio_profile
 
 
 class _Scripted:
