@@ -10,9 +10,10 @@ built from each package's own modules and makes RUNS runs. A run is timed
 REPEATS times on each side and keeps the least; the side that goes first
 alternates from run to run, so drift in host speed falls on both. The script
 exits 1 at the first run whose `RunResult` differs between the two sides. Per
-point it prints both sides' mean ms per run and the median, over runs, of this
-checkout's time over the other's, with its quartiles: below 1 means this
-checkout is faster.
+point it prints both sides' mean ms per run, the ratio of this checkout's
+total time to the other's (what a runs-per-second figure reads), and the
+median, over runs, of this checkout's time over the other's, with its
+quartiles: below 1 means this checkout is faster.
 """
 
 import argparse
@@ -69,7 +70,7 @@ def main() -> None:
         sys.path.insert(0, tmp)
         run_once = [importlib.import_module(side + ".experiments").run_once for side in SIDES]
         points = [configs(side) + shaped(side) for side in SIDES]
-        print(f"{'point':<16} {'this ms/run':>12} {'other ms/run':>13}  "
+        print(f"{'point':<16} {'this ms/run':>12} {'other ms/run':>13} {'total ratio':>12}  "
               "this/other per run: median (quartiles)")
         for k, (name, _) in enumerate(points[0]):
             took = ([], [])
@@ -86,7 +87,7 @@ def main() -> None:
             ratios = [a / b for a, b in zip(*took)]
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             print(f"{name:<16} {1e3 * statistics.fmean(took[0]):12.3f} "
-                  f"{1e3 * statistics.fmean(took[1]):13.3f}  "
+                  f"{1e3 * statistics.fmean(took[1]):13.3f} {sum(took[0]) / sum(took[1]):12.3f}  "
                   f"{median:.3f} ({q1:.3f}-{q3:.3f})")
 
 

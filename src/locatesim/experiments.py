@@ -40,6 +40,8 @@ POLL_PERIOD_S = 1.0
 
 SOURCE_ID = 0
 
+CHUNK_MAX = 64  # tasks per pool chunk at most (run_batches)
+
 
 @dataclass(slots=True)
 class ScenarioConfig:
@@ -126,7 +128,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     patched to always hold can drain it, which ends the run at the horizon).
     A LEG_END is queued only if its leg ends by the horizon: a later one could
     never pop, and leaving it out reorders nothing, as ties break on a
-    monotone insertion sequence.
+    monotone insertion sequence. The placement leg ends enter the queue in
+    node order at its construction, one heap build that numbers them as the
+    same `schedule` calls would; each later leg end is scheduled as it is drawn.
 
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
     it is dtn_dist from its anchor. START_POLL carries the metres still left
@@ -197,7 +201,15 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     collision = profile.interference == INTERFERENCE_COLLISION
     horizon = config.horizon_s
 
-    queue = EventQueue()
+    # the placement leg ends that end by the horizon, in node order, in one heap build
+    mobile = False
+    leg_ends = []
+    for rec in world.nodes:
+        if not rec.stationary:
+            mobile = True
+            if rec.leg.end <= horizon:
+                leg_ends.append((rec.leg.end, LEG_END, rec.id, None))
+    queue = EventQueue(leg_ends)
     # bound once per run, after any wrapper a caller has put on the classes
     schedule = queue.schedule
     peek = queue.peek
@@ -266,13 +278,6 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             able.add(node)
         else:
             able.discard(node)
-
-    mobile = False
-    for rec in world.nodes:
-        if not rec.stationary:
-            mobile = True
-            if rec.leg.end <= horizon:
-                schedule(rec.leg.end, LEG_END, rec.id, None)
 
     src = states[SOURCE_ID] = EmergencyState(
         SOURCE_ID, world.nodes[SOURCE_ID].role == Role.SOLVER, True)
@@ -385,9 +390,11 @@ def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Ag
         # looked up through the module, so a class patched onto it (tests, tracers) is the one used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=workers) as pool:
-            # map keeps task order, so the results match a serial loop
-            flat = list(pool.map(_run_indexed, tasks,
-                                 chunksize=max(1, len(tasks) // (workers * 4))))
+            # map keeps task order, so the results match a serial loop. Adjacent tasks mostly
+            # share a point and points cost unequal amounts, so chunks are capped: a few
+            # large chunks would leave one worker idle while another finishes its point
+            chunksize = min(CHUNK_MAX, max(1, len(tasks) // (workers * 4)))
+            flat = list(pool.map(_run_indexed, tasks, chunksize=chunksize))
     batches = []
     start = 0
     for cfg in configs:

@@ -72,13 +72,16 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     Membership is decided from positions at the transmission start; the
     transmitter never hears itself. Of the candidates `world.near` returns,
     only those whose index-time position lies within its radius r of the
-    transmitter are evaluated. That is exact: a node in range now lay within
-    r - DRIFT_MARGIN of the transmitter then, and the squared compare rounds
-    by a few ulps of r * r, far less than the margin. The nodes within reach
-    are sorted by id before any loss is drawn, so loss draws happen in
-    node-id order, and only for nodes whose delivery ratio is strictly
-    between 0 and 1; the unit-disk model consumes no randomness and takes
-    every node within reach without asking `pdr`.
+    transmitter are evaluated. A candidate outside the disk's y band
+    [y - r, y + r] is dropped before the disk test, which it would fail too
+    but for an ulp tie at |dy| = r, a point 1 m beyond any receiver. That is
+    exact: a node in range now lay within r - DRIFT_MARGIN of the transmitter
+    then, and the band's ends and the squared compare round by a few ulps, far
+    less than the margin. The nodes within reach are sorted by id before any
+    loss is drawn, so loss draws happen in node-id order, and only for nodes
+    whose delivery ratio is strictly between 0 and 1; the unit-disk model
+    consumes no randomness and takes every node within reach without asking
+    `pdr`.
     """
     position_at = world.position_at
     tx_pos = position_at(tx_node, t)
@@ -86,9 +89,13 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     reach = profile.range_m
     candidates, r = world.near(x, y, t, reach)
     r2 = r * r
+    lo = y - r  # the disk's y band
+    hi = y + r
     unit_disk = profile.pdr_model == UNIT_DISK
     heard: list = []  # ids under the unit disk, else (id, distance) pairs
     for node, x0, y0 in candidates:
+        if not (lo <= y0 <= hi):
+            continue
         dx = x0 - x
         dy = y0 - y
         if dx * dx + dy * dy > r2 or node == tx_node:

@@ -230,14 +230,17 @@ class World:
         candidates are every entry with x0 in [x - r, x + r], one slice of the
         x-sorted entries: a superset of that disk, which a caller narrows on
         (x0, y0). The index is rebuilt when t < t0, when the drift passes its
-        skin, or for another reach. Legs change only through `start_leg`, which
-        keeps it valid; after setting a leg by hand, call `forget_index`.
+        skin, or for another reach; the drift vmax * (t - t0) is computed once,
+        for both, and is 0 on a fresh index. Legs change only through
+        `start_leg`, which keeps it valid; after setting a leg by hand, call
+        `forget_index`.
         """
         idx = self._index
         if idx is None or t < idx.t0 or reach != idx.reach \
-                or idx.vmax * (t - idx.t0) > idx.skin:
+                or (drift := idx.vmax * (t - idx.t0)) > idx.skin:
             idx = self._index = _Index(self.nodes, self.side, t, reach)
-        r = reach + idx.vmax * (t - idx.t0) + DRIFT_MARGIN
+            drift = 0.0  # vmax * (t - t0) at the new index's own t0
+        r = reach + drift + DRIFT_MARGIN
         xs = idx.xs
         return idx.entries[bisect_left(xs, x - r):bisect_right(xs, x + r)], r
 

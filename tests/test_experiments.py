@@ -432,19 +432,25 @@ def test_no_leg_end_is_queued_past_the_horizon(monkeypatch):
     cfg = ScenarioConfig(n=40, tau=0.15, horizon_s=1800.0, radio=lora_profile(
         pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION))
     leg_ends, queued = [], []
-    new_leg, schedule = world._new_leg, EventQueue.schedule
+    new_leg, init, schedule = world._new_leg, EventQueue.__init__, EventQueue.schedule
 
     def recorded_leg(*args):
         leg = new_leg(*args)
         leg_ends.append(leg.end)
         return leg
 
-    def recorded(queue, time, kind, node, data=None):
+    def recorded_init(queue, events=()):  # the placement leg ends
+        events = list(events)
+        queued.extend(time for time, kind, _, _ in events if kind == LEG_END)
+        init(queue, events)
+
+    def recorded(queue, time, kind, node, data=None):  # every later leg end
         if kind == LEG_END:
             queued.append(time)
         return schedule(queue, time, kind, node, data)
 
     monkeypatch.setattr(world, "_new_leg", recorded_leg)  # placement and every leg end
+    monkeypatch.setattr(EventQueue, "__init__", recorded_init)
     monkeypatch.setattr(EventQueue, "schedule", recorded)
     trace = []
     result = run_once(cfg, 2, trace=trace)
