@@ -128,9 +128,10 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     patched to always hold can drain it, which ends the run at the horizon).
     A LEG_END is queued only if its leg ends by the horizon: a later one could
     never pop, and leaving it out reorders nothing, as ties break on a
-    monotone insertion sequence. The placement leg ends enter the queue in
-    node order at its construction, one heap build that numbers them as the
-    same `schedule` calls would; each later leg end is scheduled as it is drawn.
+    monotone insertion sequence. Every event enters through `schedule`: the
+    placement leg ends first, in node order, before `start_emergency` runs, so
+    leg ends at one instant start their next legs in node order; each later
+    leg end is scheduled as it is drawn.
 
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
     it is dtn_dist from its anchor. START_POLL carries the metres still left
@@ -201,15 +202,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     collision = profile.interference == INTERFERENCE_COLLISION
     horizon = config.horizon_s
 
-    # the placement leg ends that end by the horizon, in node order, in one heap build
-    mobile = False
-    leg_ends = []
-    for rec in world.nodes:
-        if not rec.stationary:
-            mobile = True
-            if rec.leg.end <= horizon:
-                leg_ends.append((rec.leg.end, LEG_END, rec.id, None))
-    queue = EventQueue(leg_ends)
+    queue = EventQueue()
     # bound once per run, after any wrapper a caller has put on the classes
     schedule = queue.schedule
     peek = queue.peek
@@ -278,6 +271,14 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             able.add(node)
         else:
             able.discard(node)
+
+    # the placement leg ends that end by the horizon, in node order, before any other event
+    mobile = False
+    for rec in world.nodes:
+        if not rec.stationary:
+            mobile = True
+            if rec.leg.end <= horizon:
+                schedule(rec.leg.end, LEG_END, rec.id, None)
 
     src = states[SOURCE_ID] = EmergencyState(
         SOURCE_ID, world.nodes[SOURCE_ID].role == Role.SOLVER, True)

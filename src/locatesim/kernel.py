@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 # event kinds
 TIMER = 0
@@ -30,25 +30,15 @@ class EventQueue:
     """Min-heap of events ordered by (time, insertion sequence), with tombstone cancellation.
 
     Ties at equal time pop in insertion order, so a replay with the same
-    schedule calls yields the same pop order. `events`, (time, kind, node,
-    data) tuples, enter at construction in the given order: numbered as that
-    many `schedule` calls would number them, then heapified once. The keys
-    are unique, so they pop exactly as if scheduled one by one. As with
-    `schedule`, none may lie before the clock (0.0); none gets a handle, so
-    none can be cancelled.
+    schedule calls yields the same pop order. `schedule` is the only way in:
+    it numbers each event and rejects one before the clock.
     """
 
     __slots__ = ("_heap", "_seq", "now")
 
-    def __init__(self, events: Iterable[tuple[float, int, int, Any]] = ()) -> None:
-        heap: list[list] = []
-        for time, kind, node, data in events:
-            if time < 0.0:
-                raise ValueError(f"cannot schedule event at t={time} before current t=0.0")
-            heap.append([time, len(heap), kind, node, data])
-        heapq.heapify(heap)
-        self._heap = heap
-        self._seq = len(heap)
+    def __init__(self) -> None:
+        self._heap: list[list] = []
+        self._seq = 0
         self.now = 0.0
 
     def schedule(self, time: float, kind: int, node: int, data: Any = None) -> list:

@@ -57,16 +57,16 @@ Entry = tuple[int, float, float]  # a node's id and its position when the index 
 class _Index:
     """Node entries (id, x0, y0) at build time t0, sorted by x0, and their x0 column `xs`.
 
-    (x0, y0) is where `position_at` puts the node at t0. `skin` is how far the
-    fastest node may drift before the index is rebuilt: one reach, or the
-    margin if that is wider.
+    (x0, y0) is where `position_at` puts the node at t0. The entries do not
+    depend on any reach, so one index serves a query of any reach. `skin` is
+    how far the fastest node may drift before the index is rebuilt: the reach
+    of the query that built it, or the margin if that is wider.
     """
 
-    __slots__ = ("t0", "reach", "skin", "vmax", "entries", "xs")
+    __slots__ = ("t0", "skin", "vmax", "entries", "xs")
 
     def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
         self.t0 = t0
-        self.reach = reach
         self.skin = max(reach, DRIFT_MARGIN)
         vmax = SPEED_MAX
         entries: list[Entry] = []
@@ -229,15 +229,15 @@ class World:
         r = reach + vmax * (t - t0) + DRIFT_MARGIN of the point at t0. The
         candidates are every entry with x0 in [x - r, x + r], one slice of the
         x-sorted entries: a superset of that disk, which a caller narrows on
-        (x0, y0). The index is rebuilt when t < t0, when the drift passes its
-        skin, or for another reach; the drift vmax * (t - t0) is computed once,
-        for both, and is 0 on a fresh index. Legs change only through
-        `start_leg`, which keeps it valid; after setting a leg by hand, call
-        `forget_index`.
+        (x0, y0). r comes from the query's own reach, so a query of any reach
+        can use the live index. It is rebuilt only when t < t0 or when the
+        drift vmax * (t - t0) passes the skin of the reach that built it; the
+        drift is computed once, for both the test and r, and is 0 on a fresh
+        index. Legs change only through `start_leg`, which keeps the index
+        valid; after setting a leg by hand, call `forget_index`.
         """
         idx = self._index
-        if idx is None or t < idx.t0 or reach != idx.reach \
-                or (drift := idx.vmax * (t - idx.t0)) > idx.skin:
+        if idx is None or t < idx.t0 or (drift := idx.vmax * (t - idx.t0)) > idx.skin:
             idx = self._index = _Index(self.nodes, self.side, t, reach)
             drift = 0.0  # vmax * (t - t0) at the new index's own t0
         r = reach + drift + DRIFT_MARGIN

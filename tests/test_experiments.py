@@ -432,25 +432,19 @@ def test_no_leg_end_is_queued_past_the_horizon(monkeypatch):
     cfg = ScenarioConfig(n=40, tau=0.15, horizon_s=1800.0, radio=lora_profile(
         pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION))
     leg_ends, queued = [], []
-    new_leg, init, schedule = world._new_leg, EventQueue.__init__, EventQueue.schedule
+    new_leg, schedule = world._new_leg, EventQueue.schedule
 
     def recorded_leg(*args):
         leg = new_leg(*args)
         leg_ends.append(leg.end)
         return leg
 
-    def recorded_init(queue, events=()):  # the placement leg ends
-        events = list(events)
-        queued.extend(time for time, kind, _, _ in events if kind == LEG_END)
-        init(queue, events)
-
-    def recorded(queue, time, kind, node, data=None):  # every later leg end
+    def recorded(queue, time, kind, node, data=None):  # the placement and every later leg end
         if kind == LEG_END:
             queued.append(time)
         return schedule(queue, time, kind, node, data)
 
     monkeypatch.setattr(world, "_new_leg", recorded_leg)  # placement and every leg end
-    monkeypatch.setattr(EventQueue, "__init__", recorded_init)
     monkeypatch.setattr(EventQueue, "schedule", recorded)
     trace = []
     result = run_once(cfg, 2, trace=trace)
@@ -461,6 +455,25 @@ def test_no_leg_end_is_queued_past_the_horizon(monkeypatch):
     assert len(trace) == 177
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == \
         "528338a920d1c413aeb369cab524c0d16c43db2be13d276df3af2d12e38b7a78"
+
+
+def test_leg_ends_at_one_instant_start_their_next_legs_in_node_order(monkeypatch):
+    # no drawn world has two placement leg ends at one instant: nodes 1 and 2 walk east
+    # from x = 500 m at 5 m/s and both reach the edge of the 1 km arena at t = 100 s
+    started = []
+    start_leg = World.start_leg
+
+    def recorded(self, node, t, stream):
+        started.append((node, t))
+        return start_leg(self, node, t, stream)
+
+    monkeypatch.setattr(World, "start_leg", recorded)
+    pair = static_world(1000.0, [(0.0, 500.0), (500.0, 300.0, Role.RELAY),
+                                 (500.0, 700.0, Role.RELAY)])
+    walkers = walking(walking(pair, 1, 5.0), 2, 5.0)
+    cfg = ScenarioConfig(n=2, tau=0.0, protocol="flooding", side_m=1000.0, horizon_s=100.0)
+    assert run_once(cfg, 0, world=walkers).end_time_s == 100.0
+    assert started == [(1, 100.0), (2, 100.0)]
 
 
 def test_a_leg_ending_at_the_horizon_still_ends(monkeypatch):

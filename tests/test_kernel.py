@@ -1,7 +1,6 @@
 """Event queue ordering/cancellation and seeded random stream behavior."""
 
 import math
-import random
 
 import pytest
 
@@ -34,35 +33,6 @@ def test_an_event_scheduled_at_the_current_time_pops_after_the_pending_ties():
     assert q.now == 7.0
     q.schedule(7.0, TIMER, 3)
     assert [q.pop().node for _ in range(2)] == [2, 3]
-
-
-def test_events_given_at_construction_pop_by_time_then_in_the_given_order():
-    q = EventQueue([(3.0, LEG_END, 1, None), (1.0, LEG_END, 2, None),
-                    (3.0, LEG_END, 3, None), (1.0, LEG_END, 4, "payload")])
-    q.schedule(1.0, TIMER, 5)  # an equal time scheduled later pops after them
-    assert q.pop() == Event(1.0, LEG_END, 2, None)
-    assert [q.pop().node for _ in range(4)] == [4, 5, 1, 3]
-    assert q.pop() is None
-
-
-def test_construction_pops_as_scheduling_the_events_one_by_one():
-    stream = random.Random(3)
-    # few distinct times, so most events tie with another
-    events = [(float(stream.randrange(8)), TIMER, node, None) for node in range(200)]
-    built = EventQueue(events)
-    scheduled = EventQueue()
-    for event in events:
-        scheduled.schedule(*event)
-    for q in (built, scheduled):
-        q.schedule(3.0, DELIVERY, 999)
-    assert [built.pop() for _ in range(201)] == [scheduled.pop() for _ in range(201)]
-    assert built.pop() is None
-
-
-def test_event_before_the_clock_rejected_at_construction():
-    with pytest.raises(ValueError):
-        EventQueue([(1.0, LEG_END, 1, None), (-0.5, LEG_END, 2, None)])
-    assert EventQueue([(0.0, LEG_END, 1, None)]).pop().node == 1  # the clock's instant is allowed
 
 
 def test_pop_returns_event_tuple_and_advances_clock():

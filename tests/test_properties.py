@@ -1,5 +1,6 @@
 """Run-level invariants over generated small scenarios, read back from `trace=` lists."""
 
+import math
 import os
 from contextlib import ExitStack
 from dataclasses import replace
@@ -12,8 +13,8 @@ from locatesim.experiments import (POLL_PERIOD_S, PROTOCOLS, SOURCE_ID, THREADS_
                                    ScenarioConfig, run_batches, run_once)
 from locatesim.kernel import FREEZE_POLL, EventQueue, RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, DTN_ACTIVE, DTN_FROZEN, E_REQ, FORWARDING,
-                                SOLVED, UNAWARE, FloodingBehavior, LocateBehavior,
-                                ProtocolParams)
+                                SET_TIMER, SOLVED, START_POLL, UNAWARE, FloodingBehavior,
+                                LocateBehavior, ProtocolParams)
 from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
@@ -270,6 +271,42 @@ def test_dtn_entry_freeze_and_reply_relay_invariants(config):
         stack.enter_context(checked("_freeze", lambda self, st, t: st.dtn_fire_at >= t))
         stack.enter_context(checked("_fire_forward", lambda self, st, t: st.phase == FORWARDING
                                     or t - st.erep_sent_at >= self.params.cw_max_s))
+        run_once(config, 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(carry_configs, reply_configs))
+def test_handlers_arm_no_timer_before_the_clock(config):
+    """The law `EventQueue.schedule`'s clock check guards, at its sources: every SET_TIMER
+    delay a handler returns and every period `carry_tick` draws is finite and at least 0,
+    and every START_POLL carries metres in [0, dtn_dist]."""
+    def lawful(acts):
+        for act in acts:
+            if act[0] == SET_TIMER:
+                assert math.isfinite(act[2]) and act[2] >= 0.0, (act, config)
+            elif act[0] == START_POLL:
+                assert 0.0 <= act[1] <= config.params.dtn_dist_m, (act, config)
+        return acts
+
+    def checked(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            return lawful(method(self, *args))
+        return mock.patch.object(cls, name, wrapper)
+
+    carry_tick = LocateBehavior.carry_tick
+
+    def checked_tick(self, st, t, stream):
+        coin, period = carry_tick(self, st, t, stream)
+        assert math.isfinite(period) and period >= 0.0, (period, config)
+        return coin, period
+
+    with ExitStack() as stack:
+        for cls in (LocateBehavior, FloodingBehavior):
+            for name in ("start_emergency", "on_delivery", "on_timer", "on_freeze_poll"):
+                stack.enter_context(checked(cls, name))
+        stack.enter_context(mock.patch.object(LocateBehavior, "carry_tick", checked_tick))
         run_once(config, 0)
 
 

@@ -229,7 +229,7 @@ def _brute_force(world, tx_node, t, profile, stream):
 
 @st.composite
 def scan_cases(draw):
-    """A world of 1-41 nodes, a radio profile and a schedule of broadcast times."""
+    """A world of 1-41 nodes, a loss model and a schedule of broadcast times and reaches."""
     side = draw(st.floats(200.0, 6000.0))
     coord = st.one_of(st.sampled_from((0.0, side)), st.floats(0.0, side))  # edges, corners
     n = draw(st.integers(0, 40))
@@ -248,16 +248,19 @@ def scan_cases(draw):
         if nodes[fast].leg.x0 < side:  # a hand-built leg faster than start_leg would draw
             vmax = draw(st.floats(SPEED_MAX + 0.5, 60.0))
             walking(world, fast, vmax)
-    profile = RadioProfile(range_m=draw(st.floats(50.0, 1000.0)),
-                           pdr_model=draw(st.sampled_from((UNIT_DISK, SMOOTH))))
-    # time steps in units of the time the fastest node takes to cross one range,
+    pdr_model = draw(st.sampled_from((UNIT_DISK, SMOOTH)))
+    # each step's broadcasts and each beat draw a reach, so one index serves mixed reaches
+    reach = st.floats(50.0, 1000.0).map(lambda r: RadioProfile(range_m=r, pdr_model=pdr_model))
+    # time steps in units of the time the fastest node takes to cross one typical range,
     # which is about the index's rebuild age: within it, past it, and back in time
-    age = profile.range_m / vmax
+    age = draw(st.floats(50.0, 1000.0)) / vmax
     k = draw(st.integers(1, 20))
-    steps = draw(st.lists(st.floats(-0.5, 1.5).map(lambda f: f * age), min_size=k, max_size=k))
+    steps = draw(st.lists(st.tuples(st.floats(-0.5, 1.5).map(lambda f: f * age), reach),
+                          min_size=k, max_size=k))
     # after each step, the source beacons again at these fractions of the build's age
-    beats = draw(st.lists(st.lists(st.floats(0.0, 1.0), max_size=4), min_size=k, max_size=k))
-    return world, legs, profile, steps, beats
+    beats = draw(st.lists(st.lists(st.tuples(st.floats(0.0, 1.0), reach), max_size=4),
+                          min_size=k, max_size=k))
+    return world, legs, steps, beats
 
 
 def _advance(world: World, legs: RandomStream, t: float) -> float:
@@ -277,19 +280,19 @@ def _check_broadcast(world, tx_node, t, profile, stream, twin):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scan_cases(), st.integers(0, 2**31 - 1))
 def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
-    world, legs, profile, steps, beats = case
+    world, legs, steps, beats = case
     stream = RandomStream(seed)
     twin = RandomStream(seed)
     t = 0.0
-    for step, fractions in zip(steps, beats):
+    for (step, profile), fractions in zip(steps, beats):
         t = _advance(world, legs, max(t + step, 0.0))
         for tx_node in range(len(world.nodes)):
             _check_broadcast(world, tx_node, t, profile, stream, twin)
-        # the static source, at later times the same build can serve
+        # the static source, at later times the same build can serve, with other reaches
         idx = world._index
-        for f in fractions:
+        for f, beat_profile in fractions:
             beat = _advance(world, legs, max(t, idx.t0 + f * idx.skin / idx.vmax))
-            _check_broadcast(world, 0, beat, profile, stream, twin)
+            _check_broadcast(world, 0, beat, beat_profile, stream, twin)
         # the loss coin draws from stream.random as bernoulli does, to the generator state
         assert stream._rng.getstate() == twin._rng.getstate()
 
@@ -298,7 +301,7 @@ def _ids(world: World, x: float, y: float, t: float, reach: float) -> list[int]:
     return sorted(entry[0] for entry in world.near(x, y, t, reach)[0])
 
 
-def test_near_rebuilds_when_forgotten_for_a_new_reach_and_past_its_skin():
+def test_near_rebuilds_when_forgotten_and_past_its_skin_but_not_for_another_reach():
     # node 1 stands 50 m east of the query point, node 2 800 m east
     world = static_world(5000.0, [(2500.0, 2500.0), (2550.0, 2500.0, Role.RELAY),
                                   (3300.0, 2500.0, Role.RELAY)])
@@ -312,10 +315,14 @@ def test_near_rebuilds_when_forgotten_for_a_new_reach_and_past_its_skin():
         [(0, 2500.0, 2500.0), (1, 2550.0, 2500.0)]
     world.forget_index()
     assert world.near(2500.0, 2500.0, 0.0, 100.0)[0] == [(0, 2500.0, 2500.0)]
-    # another reach rebuilds, with a skin of that reach
+    # another reach uses the live index, which keeps the skin of the reach that built it,
+    # and still finds every node within that reach
     built = world._index
+    far = RadioProfile(range_m=4000.0)
     assert _ids(world, 50.0, 50.0, 0.0, 4000.0) == [0, 1, 2]
-    assert world._index is not built and world._index.skin == 4000.0
+    assert broadcast(world, 0, 0.0, far, RandomStream(1)) == \
+        _brute_force(world, 0, 0.0, far, RandomStream(1)) == [1, 2]
+    assert world._index is built and built.skin == 100.0
     # a step back in time rebuilds from the positions then, the radius grows with the
     # fastest node's drift since the build, and a drift past the skin rebuilds
     walker = walking(static_world(5000.0, [(0.0, 0.0), (100.0, 2500.0, Role.RELAY)]), 1, 20.0)
