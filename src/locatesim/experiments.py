@@ -162,8 +162,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     result as it was: its `waiting` and `able` flags move only with its state.
     A skipped copy still logs the phase entry its node owes, as the handler
     tail would: only the source can owe one, its DTN_ACTIVE from
-    `start_emergency`. The predicate is bound once per run from the behavior,
-    so a test can patch it off on the class.
+    `start_emergency`.
 
     A timer that pops for a node outside `able` is a spent carry tick: by
     `protocol.may_transmit`, the DTN tick of a non-source carrier in
@@ -172,8 +171,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     that `LocateBehavior.carry_tick` draws after the coin, as `on_timer`
     would. That is exact: the same two draws happen at the same event, the
     tick changes no phase, and `waiting` and `able` cannot move without a
-    change of state. Patching `may_transmit` to always hold turns off both
-    this path and the quiescence exit.
+    change of state.
 
     Collisions: a copy is dropped if another frame its receiver hears overlaps
     it, endpoints included. All frames last `airtime` and are recorded as sent,
@@ -189,6 +187,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     event scheduled while they are handled (a zero-delay reply) pops after
     all of them, and the quiescence check, made only between events, counts
     the DELIVERY events pending (`in_flight`).
+
+    `tests/reference.py`, a plain runner with none of these shortcuts (nor
+    `broadcast`'s), is their oracle: the tests compare it with this one.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)

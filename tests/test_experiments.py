@@ -20,6 +20,7 @@ from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, Lo
                                ProtocolParams)
 from locatesim.radio import INTERFERENCE_COLLISION, SMOOTH, lora_profile
 from locatesim.world import Role, World
+import reference
 import test_acceptance as gate
 from paired import dtn_optimization
 from topologies import line_world, pair_world, static_world, walking
@@ -335,9 +336,14 @@ def _convoy():
     return world
 
 
-def _polled(monkeypatch, speed_max, cases):
-    """RunResult and trace of each (config, run index, world factory) case, with
-    `speed_max` as the runner's speed bound, plus the freeze polls popped."""
+def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
+    # The reference runner pops every tick of the 1 s poll lattice and has no speed bound:
+    # the skipping run must agree with it for carriers walking faster than any random leg
+    # and for carriers frozen in place, and pop under half as many polls
+    carry = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
+    cases = [(carry, idx, _convoy) for idx in range(4)]
+    cases.append((dataclasses.replace(carry, horizon_s=3600.0), 3, _static_trio))
+    skipped = [reference.compare(cfg, idx, make_world) for cfg, idx, make_world in cases]
     popped = []
     poll = LocateBehavior.on_freeze_poll
 
@@ -345,34 +351,15 @@ def _polled(monkeypatch, speed_max, cases):
         popped.append(args)
         return poll(self, *args)
 
-    runs = []
-    with monkeypatch.context() as m:
-        m.setattr(experiments, "SPEED_MAX", speed_max)
-        m.setattr(LocateBehavior, "on_freeze_poll", counted)
+    monkeypatch.setattr(LocateBehavior, "on_freeze_poll", counted)
+    polls = {}
+    for runner in (run_once, reference.run):
+        popped.clear()
         for cfg, idx, make_world in cases:
-            trace = []
-            runs.append((run_once(cfg, idx, world=make_world(), trace=trace), trace))
-    return runs, len(popped)
-
-
-def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
-    # The precise claim is weaker than the equality below: results are identical, and
-    # traces are identical up to the order of same-time phase entries. Same-time events
-    # pop in insertion order, and a skipped poll is inserted at another moment than an
-    # every-tick poll, so carriers that thaw on one tick may log in either order. These
-    # cases do not hit that, so their full traces compare equal.
-    radios = [lora_profile(), lora_profile(pdr_model="smooth", interference="collision")]
-    drawn = [(ScenarioConfig(n=n, tau=0.15, radio=radio), idx, lambda: None)
-             for n in (5, 40) for radio in radios for idx in range(8)]
-    carry = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
-    convoy = [(carry, idx, _convoy) for idx in range(4)]
-    still = (dataclasses.replace(carry, horizon_s=3600.0), 3, _static_trio)
-    skipped, fewer = _polled(monkeypatch, experiments.SPEED_MAX, drawn + convoy + [still])
-    # no speed bound: every tick of the 1 s lattice is popped
-    every, popped = _polled(monkeypatch, math.inf, drawn + convoy + [still])
-    assert skipped == every
-    assert fewer < popped / 2
-    for res, trace in skipped[len(drawn):-1]:
+            runner(cfg, idx, world=make_world())
+        polls[runner] = len(popped)
+    assert polls[run_once] < polls[reference.run] / 2
+    for res, trace in skipped[:-1]:
         # each convoy carrier thaws at the third tick after it froze (50 m at 20 m/s),
         # which a bound of SPEED_MAX alone would skip past
         frozen = {}
@@ -487,16 +474,19 @@ def test_a_leg_ending_at_the_horizon_still_ends(monkeypatch):
 
     monkeypatch.setattr(World, "start_leg", recorded)
 
-    def legs_started(horizon_s):
+    def walker():
         # node 1 walks east from x = 500 m at 5 m/s and reaches the edge of the 1 km arena
         # at t = 100 s; the source keeps beaconing, so only the horizon ends the run
-        walker = walking(static_world(1000.0, [(0.0, 500.0), (500.0, 500.0, Role.RELAY)]),
-                         1, 5.0)
+        return walking(static_world(1000.0, [(0.0, 500.0), (500.0, 500.0, Role.RELAY)]), 1, 5.0)
+
+    def legs_started(horizon_s):
         cfg = ScenarioConfig(n=1, tau=0.0, protocol="flooding", side_m=1000.0,
                              horizon_s=horizon_s)
         started.clear()
-        assert run_once(cfg, 0, world=walker).end_time_s == horizon_s
-        return [(node, t) for node, t, _ in started]
+        assert run_once(cfg, 0, world=walker()).end_time_s == horizon_s
+        legs = [(node, t) for node, t, _ in started]
+        reference.compare(cfg, 0, walker)  # the reference queues every leg end
+        return legs
 
     # the hand-built leg ends at the horizon and pops; the next one ends past it
     assert legs_started(100.0) == [(1, 100.0)]
@@ -539,24 +529,6 @@ def test_a_solved_carrier_pops_no_freeze_poll(monkeypatch):
     assert [call for call in polled if call[2] == SOLVED] == []
 
 
-@pytest.mark.parametrize("protocol", ["locate", "locate-basic"])
-def test_quiescent_exit_equals_a_run_to_the_horizon(protocol, monkeypatch):
-    cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
-    quiet = {}
-    for idx in range(6):
-        trace = []
-        quiet[idx] = (run_once(cfg, idx, trace=trace), trace)
-    # the sample must hold runs that end at the horizon, which the quiescent exit decides
-    assert sum(res.end_time_s == cfg.horizon_s for res, _ in quiet.values()) >= 3
-    monkeypatch.setattr(experiments, "may_transmit", lambda st: True)  # never quiescent
-    for idx, (res, trace) in quiet.items():
-        full_trace = []
-        full = run_once(cfg, idx, trace=full_trace)
-        assert dataclasses.replace(full, end_time_s=res.end_time_s) == res, idx
-        # nothing was transmitted, and nobody became aware, after the quiescent exit
-        assert [e for e in full_trace if e[0] != "phase"] == [e for e in trace if e[0] != "phase"]
-
-
 def test_a_never_quiescent_run_whose_queue_drains_ends_at_the_horizon(monkeypatch):
     # flooding's relays arm nothing once they have relayed, and the solved source stops
     # beaconing, so with may_transmit patched to always hold, run 3's queue drains after
@@ -591,19 +563,27 @@ def test_a_reused_world_is_reindexed_for_each_run():
     assert [e[2] for e in trace if e[0] == "aware"] == [1]
 
 
-def test_copies_of_one_broadcast_are_handled_before_a_zero_delay_reply():
+def _zero_delay_world():
     # a solver standing on the source has a zero-width reply window, so its reply
-    # fires at the very time the beacon lands; the two relays hearing the same
-    # beacon log their copies first, as with one event per copy
-    world = static_world(2500.0, [(1250.0, 1250.0), (1250.0, 1250.0, Role.SOLVER),
-                                  (1350.0, 1250.0, Role.RELAY), (1450.0, 1250.0, Role.RELAY)])
+    # fires at the very time the beacon lands
+    return static_world(2500.0, [(1250.0, 1250.0), (1250.0, 1250.0, Role.SOLVER),
+                                 (1350.0, 1250.0, Role.RELAY), (1450.0, 1250.0, Role.RELAY)])
+
+
+def test_copies_of_one_broadcast_are_handled_before_a_zero_delay_reply():
+    # the two relays hearing the same beacon log their copies before the reply, as with
+    # one event per copy
     trace = []
-    run_once(small(n=3, runs=1), 0, world=world, trace=trace)
+    run_once(small(n=3, runs=1), 0, world=_zero_delay_world(), trace=trace)
     at_landing = [e[:4] for e in trace if e[1] == 0.4]
     reply = at_landing.index(("tx", 0.4, 1, E_REP))
     for node in (2, 3):
         assert at_landing.index(("aware", 0.4, node)) < reply
         assert [e[:3] for e in at_landing].index(("phase", 0.4, node)) < reply
+    # under collisions the reply's frame starts as the beacon's ends, so the relays, which
+    # heard both, drop the reply's copies (the frames touch): the reference agrees
+    radio = lora_profile(interference=INTERFERENCE_COLLISION)
+    reference.compare(small(n=3, runs=1, radio=radio), 0, _zero_delay_world)
 
 
 def test_a_run_stops_inside_a_broadcast_once_nobody_waits():

@@ -19,6 +19,7 @@ from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, 
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
 
+import reference
 from topologies import static_world
 
 DEFAULTS = ProtocolParams()
@@ -172,53 +173,6 @@ settling_configs = scenarios(("locate", "locate-basic"), n=st.integers(5, 20),
                              side_m=st.floats(1000.0, 2500.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(locate_configs, settling_configs))
-# two carriers with no hop budget left freeze, so the run goes quiet at 134.8 s; its twin
-# logs their thaws at 154.8 s and 168.8 s and runs on to the horizon
-@example(ScenarioConfig(n=8, tau=0.15679618517064975, side_m=1057.870888087286, runs=1,
-                        base_seed=1094722295, horizon_s=2102.5939863108006,
-                        radio=lora_profile(pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION),
-                        params=ProtocolParams(ttl_init=2)))
-def test_short_spent_carry_ticks_change_no_run(config):
-    """Re-arming a spent carrier's tick through `carry_tick` alone, and the quiescent
-    exit, give the same result as the run's never-quiescent twin, which hands every timer
-    to `on_timer` and runs on to resolution or the horizon; after the shipped `trace=`
-    list, the twin's logs only phase entries."""
-    trace: list = []
-    result = run_once(config, 0, trace=trace)
-    with mock.patch("locatesim.experiments.may_transmit", lambda st: True):
-        twin_trace: list = []
-        twin = run_once(config, 0, trace=twin_trace)
-    assert result == twin
-    assert twin_trace[:len(trace)] == trace
-    assert all(entry[0] == "phase" for entry in twin_trace[len(trace):])
-
-
-def never_ignores(self, st, msg):
-    return False
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.one_of(flooding_configs, locate_configs))
-# a relayed copy reaches the source before its first beacon timer, so the skipped copy
-# logs the source's phase entry: run 2 of the trace digest's flooding n=40 at base seed 7
-# (7 ^ 2 = 5)
-@example(ScenarioConfig(n=40, protocol="flooding", runs=1, base_seed=5))
-def test_skipping_ignored_request_copies_changes_no_run(config):
-    """The DELIVERY walk's skip of copies that the behavior's `ignores_request` says
-    change nothing gives the same result and `trace=` list as handing every copy to the
-    handler."""
-    trace: list = []
-    result = run_once(config, 0, trace=trace)
-    with mock.patch.object(LocateBehavior, "ignores_request", never_ignores), \
-            mock.patch.object(FloodingBehavior, "ignores_request", never_ignores):
-        every_trace: list = []
-        every = run_once(config, 0, trace=every_trace)
-    assert result == every
-    assert trace == every_trace
-
-
 # dense arenas and long hop budgets: carriers freeze and solved nodes relay replies
 carry_configs = scenarios(("locate", "locate-basic"), n=st.integers(2, 25),
                           tau=st.floats(0.0, 0.5), ttl_init=st.integers(0, 16),
@@ -230,6 +184,30 @@ carry_configs = scenarios(("locate", "locate-basic"), n=st.integers(2, 25),
 reply_configs = scenarios(("flooding", "probabilistic"), n=st.integers(2, 25),
                           tau=st.floats(0.0, 0.5), ttl_init=st.integers(0, 16),
                           horizon_s=st.floats(600.0, 3600.0), side_m=st.floats(300.0, 2000.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(configs, statechart_configs, flooding_configs, locate_configs, settling_configs,
+                 carry_configs, reply_configs))
+# two carriers with no hop budget left freeze, so the run goes quiet at 134.8 s; the
+# reference logs their thaws at 154.8 s and 168.8 s and runs on to the horizon
+@example(ScenarioConfig(n=8, tau=0.15679618517064975, side_m=1057.870888087286, runs=1,
+                        base_seed=1094722295, horizon_s=2102.5939863108006,
+                        radio=lora_profile(pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION),
+                        params=ProtocolParams(ttl_init=2)))
+# a relayed copy reaches the source before its first beacon timer, so the skipped copy
+# logs the source's phase entry: run 2 of the trace digest's flooding n=40 at base seed 7
+# (7 ^ 2 = 5)
+@example(ScenarioConfig(n=40, protocol="flooding", runs=1, base_seed=5))
+# relays that made their relay decision and were then solved hear later requests, which
+# they answer with their cached reply: the skip must hand them those copies
+@example(ScenarioConfig(n=30, tau=0.25, protocol="probabilistic", side_m=936.0, runs=1,
+                        base_seed=1838, horizon_s=3.0))
+def test_run_once_agrees_with_the_reference_runner(config):
+    """`run_once` and `tests/reference.py`, which has none of its shortcuts, give the
+    same `RunResult` and the same `trace=` list up to the order of same-time entries;
+    past the shipped run's quiescent exit the reference logs only phase entries."""
+    reference.compare(config)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

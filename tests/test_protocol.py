@@ -2,15 +2,10 @@
 
 import copy
 import math
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies
 
-from locatesim import experiments
-from locatesim.experiments import ScenarioConfig, run_once
-from locatesim.kernel import TIMER, EventQueue, RandomStream
+from locatesim.kernel import RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
                                 DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD, POLL,
                                 SET_TIMER, SOLVED, START_POLL, TRANSMIT,
@@ -18,8 +13,6 @@ from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
                                 forwarding_window, may_transmit)
-from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, UNIT_DISK,
-                             lora_profile)
 
 P = ProtocolParams()
 
@@ -489,41 +482,6 @@ def test_carry_tick_pulls_a_period_that_rounds_up_to_cw_max(make):
     assert (P.cw_min_s, P.cw_max_s) == (5.0, 20.0)
     assert period == math.nextafter(20.0, 5.0) == stream.uniform(5.0, 20.0)
     assert coin == (not b.dtn_optimized)  # p is 1 unoptimised, else 0.4
-
-
-def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
-    # no solver, so the source beacons to the horizon; a 2-hop budget spends carriers early
-    config = ScenarioConfig(n=12, tau=0.0, side_m=2000.0, runs=1, horizon_s=3600.0,
-                            params=ProtocolParams(ttl_init=2))
-    counts = {}
-    on_timer = LocateBehavior.on_timer
-    pop = EventQueue.pop
-
-    def counted_on_timer(self, *args):
-        counts["handled"] += 1
-        return on_timer(self, *args)
-
-    def counted_pop(self):
-        event = pop(self)
-        counts["timers"] += event.kind == TIMER
-        return event
-
-    monkeypatch.setattr(LocateBehavior, "on_timer", counted_on_timer)
-    monkeypatch.setattr(EventQueue, "pop", counted_pop)
-
-    def counted_run():
-        counts.update(handled=0, timers=0)
-        trace = []
-        return run_once(config, 0, trace=trace), trace, dict(counts)
-
-    short_run, short_trace, short_counts = counted_run()
-    # the never-quiescent twin hands every timer to on_timer
-    monkeypatch.setattr(experiments, "may_transmit", lambda st: True)
-    full_run, full_trace, full_counts = counted_run()
-    assert short_run == full_run
-    assert short_trace == full_trace  # the source never goes quiet, so neither run does
-    assert short_counts["timers"] == full_counts["timers"] == full_counts["handled"]
-    assert short_counts["handled"] < short_counts["timers"] / 2
 
 
 def test_first_competitor_reschedules_the_period():
@@ -1042,45 +1000,3 @@ def test_ignores_request_is_false_where_a_copy_may_act():
         assert not b.ignores_request(st, msg), label
         acts, changed, drew = _effects(b, st, msg, 40.0, (2900.0, 2500.0), 5)
         assert acts or changed or drew, label
-
-
-run_configs = strategies.builds(
-    lambda n, tau, protocol, pdr_model, interference, ttl_init, horizon_s, side_m, seed:
-        ScenarioConfig(n=n, tau=tau, protocol=protocol, side_m=side_m, runs=1,
-                       base_seed=seed, horizon_s=horizon_s,
-                       radio=lora_profile(pdr_model=pdr_model, interference=interference),
-                       params=ProtocolParams(ttl_init=ttl_init)),
-    n=strategies.integers(1, 12),
-    tau=strategies.floats(0.0, 1.0),
-    protocol=strategies.sampled_from(experiments.PROTOCOLS),
-    pdr_model=strategies.sampled_from((UNIT_DISK, SMOOTH)),
-    interference=strategies.sampled_from((INTERFERENCE_NONE, INTERFERENCE_COLLISION)),
-    ttl_init=strategies.integers(0, 6),
-    horizon_s=strategies.floats(1.0, 1800.0),
-    side_m=strategies.floats(300.0, 3000.0),
-    seed=strategies.integers(0, 2**31 - 1),
-)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(run_configs)
-def test_ignored_request_copies_change_nothing_in_a_run(config):
-    """Every request copy handed to `on_delivery` in a generated run with the skip off,
-    with the state it found: where `ignores_request` holds, the handler returns no
-    action, changes no field and draws nothing."""
-    cls = LocateBehavior if config.protocol.startswith("locate") else FloodingBehavior
-    on_delivery = cls.on_delivery
-    seen = []
-
-    def capturing(self, st, msg, t, pos, stream):
-        if msg.kind == E_REQ:
-            seen.append((self, copy.deepcopy(st), msg, t, pos))
-        return on_delivery(self, st, msg, t, pos, stream)
-
-    with mock.patch.object(cls, "on_delivery", capturing), \
-            mock.patch.object(cls, "ignores_request", lambda self, st, msg: False):
-        run_once(config, 0)
-    for b, st, msg, t, pos in seen:
-        if b.ignores_request(st, msg):
-            assert _effects(b, st, msg, t, pos, config.base_seed) == ([], False, False), \
-                (st, msg)

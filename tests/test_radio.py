@@ -14,6 +14,7 @@ from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioPro
                              broadcast, lora_profile, pdr, wifi_profile)
 from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, _Index, distance
 
+import reference
 from topologies import static_world, still_leg, walking
 
 
@@ -175,7 +176,7 @@ def test_still_nodes_off_the_arena_are_indexed_at_their_own_spots():
     assert sorted(candidates) == [(0, -0.98, -0.98), (1, -1.01, -1.01), (3, -1.5, 3.0)]
     assert r == profile.range_m + DRIFT_MARGIN
     assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == \
-        _brute_force(world, 0, 0.0, profile, RandomStream(1)) == [1]
+        reference.receivers(world, 0, 0.0, profile, RandomStream(1)) == [1]
 
 
 def test_a_walker_off_the_arena_is_indexed_where_position_at_clamps_it():
@@ -212,19 +213,6 @@ def test_broadcast_axis_bound_is_inclusive():
             (c, math.nextafter(c + r, math.inf)), (c, math.nextafter(c - r, -math.inf))]
     world = static_world(5000.0, [(c, c)] + [(x, y, Role.RELAY) for x, y in edge + past])
     assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == [1, 2, 3, 4]
-
-
-def _brute_force(world, tx_node, t, profile, stream):
-    """Every node evaluated, in id order: what broadcast returns without its index."""
-    tx_pos = world.position_at(tx_node, t)
-    out = []
-    for rec in world.nodes:
-        if rec.id == tx_node:
-            continue
-        p = pdr(distance(tx_pos, world.position_at(rec.id, t)), profile)
-        if p >= 1.0 or (p > 0.0 and stream.bernoulli(p)):
-            out.append(rec.id)
-    return out
 
 
 @st.composite
@@ -274,7 +262,7 @@ def _advance(world: World, legs: RandomStream, t: float) -> float:
 
 def _check_broadcast(world, tx_node, t, profile, stream, twin):
     assert broadcast(world, tx_node, t, profile, stream) == \
-        _brute_force(world, tx_node, t, profile, twin), (tx_node, t)
+        reference.receivers(world, tx_node, t, profile, twin), (tx_node, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -321,7 +309,7 @@ def test_near_rebuilds_when_forgotten_and_past_its_skin_but_not_for_another_reac
     far = RadioProfile(range_m=4000.0)
     assert _ids(world, 50.0, 50.0, 0.0, 4000.0) == [0, 1, 2]
     assert broadcast(world, 0, 0.0, far, RandomStream(1)) == \
-        _brute_force(world, 0, 0.0, far, RandomStream(1)) == [1, 2]
+        reference.receivers(world, 0, 0.0, far, RandomStream(1)) == [1, 2]
     assert world._index is built and built.skin == 100.0
     # a step back in time rebuilds from the positions then, the radius grows with the
     # fastest node's drift since the build, and a drift past the skin rebuilds
@@ -416,68 +404,6 @@ def _survivors(broadcasts: list[tuple[float, tuple[int, ...]]], airtime: float,
 ])
 def test_collision_rule(broadcasts, airtime, survivors, monkeypatch):
     assert _survivors(broadcasts, airtime, monkeypatch) == survivors
-
-
-def _interval_collided(intervals: list[tuple[float, float]], start: float,
-                       end: float) -> bool:
-    """The interval rule the run loop's two reception ends replace: whether the reception
-    [start, end] overlaps another one recorded at its receiver, endpoints included;
-    `intervals` holds the receptions sent so far, the one under test included. Entries
-    that ended before `start` are dropped, as no later reception can overlap them."""
-    hits = 0
-    keep = []
-    for s, e in intervals:
-        if e >= start:
-            keep.append((s, e))
-            if s <= end:
-                hits += 1
-    intervals[:] = keep
-    return hits >= 2  # the interval under test is its own first hit
-
-
-def _interval_survivors(broadcasts: list[tuple[float, tuple[int, ...]]],
-                        airtime: float) -> list[tuple[int, float]]:
-    """`_survivors` under the interval rule, replayed in the run loop's order: a
-    broadcast's reception intervals are recorded when its timer pops, and its copies judged
-    when they land; at one instant the timers (armed first) pop before the landings, and
-    both go in broadcast order."""
-    order = sorted(range(len(broadcasts)), key=lambda i: broadcasts[i][0])
-    events = []
-    for rank, i in enumerate(order):
-        start = broadcasts[i][0]
-        events += [(start, 0, rank, i), (start + airtime, 1, rank, i)]
-    busy: dict[int, list[tuple[float, float]]] = {}
-    kept = []
-    for t, landing, _, i in sorted(events):
-        start, receivers = broadcasts[i]
-        for receiver in receivers:
-            if not landing:
-                busy.setdefault(receiver, []).append((start, start + airtime))
-            elif not _interval_collided(busy[receiver], t - airtime, t):
-                kept.append((receiver, t))
-    return kept
-
-
-@st.composite
-def _broadcast_scripts(draw):
-    airtime = draw(st.sampled_from([0.5, 0.4, 1.0]))
-    # half-airtime steps give exact ties and touching endpoints; floats give the rest
-    start = st.one_of(st.integers(0, 12).map(lambda k: k * airtime / 2),
-                      st.floats(0.0, 6.0, allow_nan=False))
-    receivers = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(sorted)
-    broadcasts = draw(st.lists(st.tuples(start, receivers.map(tuple)), min_size=1, max_size=8))
-    return broadcasts, airtime
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_broadcast_scripts())
-def test_two_reception_ends_give_the_interval_rule(script):
-    """The run loop's rule, a copy dropped when its receiver's second-latest reception end
-    is at or after the copy's send time, keeps the copies the interval rule keeps."""
-    broadcasts, airtime = script
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        assert _survivors(broadcasts, airtime, monkeypatch) == \
-            _interval_survivors(broadcasts, airtime)
 
 
 def test_collision_constant_matches_profile_field():
