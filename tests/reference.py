@@ -48,6 +48,14 @@ def receivers(world: World, node: int, t: float, radio: RadioProfile,
     return heard
 
 
+def collided(frames: list[tuple[float, float]], start: float, end: float) -> bool:
+    """Whether a frame sent to the receiver overlaps the copy's [start, end], endpoints
+    included; `frames` holds those sent so far, the copy's own included. Frames that
+    ended before `start` are dropped, as they can overlap no later copy."""
+    frames[:] = [f for f in frames if f[1] >= start]
+    return sum(1 for s, _ in frames if s <= end) > 1  # the copy's own frame is one
+
+
 def run(config: ScenarioConfig, run_index: int, world: World | None = None,
         trace: list | None = None) -> RunResult:
     """One run of `config`, traced as `run_once` traces it when `trace` is given."""
@@ -111,11 +119,8 @@ def run(config: ScenarioConfig, run_index: int, world: World | None = None,
         pos = world.position_at(node, now)
         if kind == DELIVERY:
             msg, start = data
-            if radio.interference == INTERFERENCE_COLLISION:
-                # frames that ended before this one started can overlap no later copy
-                live = frames[node] = [f for f in frames[node] if f[1] >= start]
-                if sum(1 for s, _ in live if s <= now) > 1:  # the copy's own frame is one
-                    continue
+            if radio.interference == INTERFERENCE_COLLISION and collided(frames[node], start, now):
+                continue
             if msg.kind == E_REQ and node not in aware:
                 aware.add(node)
                 waiting.add(node)

@@ -529,6 +529,16 @@ def test_a_solved_carrier_pops_no_freeze_poll(monkeypatch):
     assert [call for call in polled if call[2] == SOLVED] == []
 
 
+@pytest.mark.parametrize("protocol", ["locate", "locate-basic"])
+def test_quiescent_exit_equals_a_run_to_the_horizon(protocol):
+    cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
+    # the reference has no quiescent exit: it runs on to the horizon, logging at most
+    # phase entries after the shipped run's last entry, and its result is the same
+    results = [reference.compare(cfg, idx)[0] for idx in range(6)]
+    # the sample must hold runs that end at the horizon, which the quiescent exit decides
+    assert sum(res.end_time_s == cfg.horizon_s for res in results) >= 3
+
+
 def test_a_never_quiescent_run_whose_queue_drains_ends_at_the_horizon(monkeypatch):
     # flooding's relays arm nothing once they have relayed, and the solved source stops
     # beaconing, so with may_transmit patched to always hold, run 3's queue drains after

@@ -189,12 +189,30 @@ reply_configs = scenarios(("flooding", "probabilistic"), n=st.integers(2, 25),
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(configs, statechart_configs, flooding_configs, locate_configs, settling_configs,
                  carry_configs, reply_configs))
+def test_run_once_agrees_with_the_reference_runner(config):
+    """`run_once` and `tests/reference.py`, which has none of its shortcuts, give the
+    same `RunResult` and the same `trace=` list up to the order of same-time entries;
+    past the shipped run's quiescent exit the reference logs only phase entries."""
+    reference.compare(config)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(locate_configs, settling_configs))
 # two carriers with no hop budget left freeze, so the run goes quiet at 134.8 s; the
 # reference logs their thaws at 154.8 s and 168.8 s and runs on to the horizon
 @example(ScenarioConfig(n=8, tau=0.15679618517064975, side_m=1057.870888087286, runs=1,
                         base_seed=1094722295, horizon_s=2102.5939863108006,
                         radio=lora_profile(pdr_model=SMOOTH, interference=INTERFERENCE_COLLISION),
                         params=ProtocolParams(ttl_init=2)))
+def test_short_spent_carry_ticks_change_no_run(config):
+    """Re-arming a spent carrier's tick through `carry_tick` alone, and the quiescent
+    exit, give what the reference gives, which hands every timer to `on_timer` and runs on
+    to resolution or the horizon: the reference property over the carrier configs."""
+    reference.compare(config)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(flooding_configs, locate_configs))
 # a relayed copy reaches the source before its first beacon timer, so the skipped copy
 # logs the source's phase entry: run 2 of the trace digest's flooding n=40 at base seed 7
 # (7 ^ 2 = 5)
@@ -203,10 +221,10 @@ reply_configs = scenarios(("flooding", "probabilistic"), n=st.integers(2, 25),
 # they answer with their cached reply: the skip must hand them those copies
 @example(ScenarioConfig(n=30, tau=0.25, protocol="probabilistic", side_m=936.0, runs=1,
                         base_seed=1838, horizon_s=3.0))
-def test_run_once_agrees_with_the_reference_runner(config):
-    """`run_once` and `tests/reference.py`, which has none of its shortcuts, give the
-    same `RunResult` and the same `trace=` list up to the order of same-time entries;
-    past the shipped run's quiescent exit the reference logs only phase entries."""
+def test_skipping_ignored_request_copies_changes_no_run(config):
+    """The DELIVERY walk's skip of copies that the behavior's `ignores_request` says
+    change nothing gives what the reference gives, which hands every copy to the handler:
+    the reference property over the configs with the most request copies."""
     reference.compare(config)
 
 

@@ -4,7 +4,10 @@ import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
+from locatesim.experiments import PROTOCOLS, ScenarioConfig, run_once
 from locatesim.kernel import RandomStream
 from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE,
                                 DTN_FROZEN, E_REP, E_REQ, FORWARD, FORWARDING, GUARD, POLL,
@@ -13,6 +16,9 @@ from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE
                                 Message, ProtocolParams, acceptance_window,
                                 distance_bias, dtn_forward_probability,
                                 forwarding_window, may_transmit)
+
+import reference
+from test_properties import scenarios
 
 P = ProtocolParams()
 
@@ -482,6 +488,28 @@ def test_carry_tick_pulls_a_period_that_rounds_up_to_cw_max(make):
     assert (P.cw_min_s, P.cw_max_s) == (5.0, 20.0)
     assert period == math.nextafter(20.0, 5.0) == stream.uniform(5.0, 20.0)
     assert coin == (not b.dtn_optimized)  # p is 1 unoptimised, else 0.4
+
+
+def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
+    # no solver, so the source beacons to the horizon; a 2-hop budget spends carriers early
+    config = ScenarioConfig(n=12, tau=0.0, side_m=2000.0, runs=1, horizon_s=3600.0,
+                            params=ProtocolParams(ttl_init=2))
+    reference.compare(config)
+    calls = []
+    on_timer = LocateBehavior.on_timer
+
+    def counted_on_timer(self, *args):
+        calls.append(args)
+        return on_timer(self, *args)
+
+    monkeypatch.setattr(LocateBehavior, "on_timer", counted_on_timer)
+    handled = {}
+    for runner in (run_once, reference.run):
+        calls.clear()
+        runner(config, 0)
+        handled[runner] = len(calls)
+    # the reference hands every timer to on_timer; run_once re-arms spent ticks itself
+    assert handled[run_once] < handled[reference.run] / 2
 
 
 def test_first_competitor_reschedules_the_period():
@@ -1000,3 +1028,33 @@ def test_ignores_request_is_false_where_a_copy_may_act():
         assert not b.ignores_request(st, msg), label
         acts, changed, drew = _effects(b, st, msg, 40.0, (2900.0, 2500.0), 5)
         assert acts or changed or drew, label
+
+
+run_configs = scenarios(PROTOCOLS, n=strategies.integers(1, 12),
+                        tau=strategies.floats(0.0, 1.0), ttl_init=strategies.integers(0, 6),
+                        horizon_s=strategies.floats(1.0, 1800.0),
+                        side_m=strategies.floats(300.0, 3000.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(run_configs)
+def test_ignored_request_copies_change_nothing_in_a_run(config):
+    """Every request copy the reference runner, which skips none, hands to `on_delivery`
+    in a generated run, with the state it found: where `ignores_request` holds, the
+    handler returns no action, changes no field and draws nothing."""
+    cls = LocateBehavior if config.protocol.startswith("locate") else FloodingBehavior
+    on_delivery = cls.on_delivery
+    seen = []
+
+    def capturing(self, st, msg, t, pos, stream):
+        if msg.kind == E_REQ:
+            seen.append((self, copy.deepcopy(st), msg, t, pos))
+        return on_delivery(self, st, msg, t, pos, stream)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cls, "on_delivery", capturing)
+        reference.run(config, 0)
+    for b, st, msg, t, pos in seen:
+        if b.ignores_request(st, msg):
+            assert _effects(b, st, msg, t, pos, config.base_seed) == ([], False, False), \
+                (st, msg)

@@ -406,5 +406,50 @@ def test_collision_rule(broadcasts, airtime, survivors, monkeypatch):
     assert _survivors(broadcasts, airtime, monkeypatch) == survivors
 
 
+def _interval_survivors(broadcasts: list[tuple[float, tuple[int, ...]]],
+                        airtime: float) -> list[tuple[int, float]]:
+    """`_survivors` under the reference runner's interval rule, replayed in the run loop's
+    order: a broadcast's frames are recorded when its timer pops, and its copies judged
+    when they land; at one instant the timers (armed first) pop before the landings, and
+    both go in broadcast order."""
+    order = sorted(range(len(broadcasts)), key=lambda i: broadcasts[i][0])
+    events = []
+    for rank, i in enumerate(order):
+        start = broadcasts[i][0]
+        events += [(start, 0, rank, i), (start + airtime, 1, rank, i)]
+    frames: dict[int, list[tuple[float, float]]] = {}
+    kept = []
+    for t, landing, _, i in sorted(events):
+        start, receivers = broadcasts[i]
+        for receiver in receivers:
+            if not landing:
+                frames.setdefault(receiver, []).append((start, start + airtime))
+            elif not reference.collided(frames[receiver], t - airtime, t):
+                kept.append((receiver, t))
+    return kept
+
+
+@st.composite
+def _broadcast_scripts(draw):
+    airtime = draw(st.sampled_from([0.5, 0.4, 1.0]))
+    # half-airtime steps give exact ties and touching endpoints; floats give the rest
+    start = st.one_of(st.integers(0, 12).map(lambda k: k * airtime / 2),
+                      st.floats(0.0, 6.0, allow_nan=False))
+    receivers = st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True).map(sorted)
+    broadcasts = draw(st.lists(st.tuples(start, receivers.map(tuple)), min_size=1, max_size=8))
+    return broadcasts, airtime
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_broadcast_scripts())
+def test_two_reception_ends_give_the_interval_rule(script):
+    """The run loop's rule, a copy dropped when its receiver's second-latest reception end
+    is at or after the copy's send time, keeps the copies the interval rule keeps."""
+    broadcasts, airtime = script
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _survivors(broadcasts, airtime, monkeypatch) == \
+            _interval_survivors(broadcasts, airtime)
+
+
 def test_collision_constant_matches_profile_field():
     assert RadioProfile(interference=INTERFERENCE_COLLISION).interference == "collision"
