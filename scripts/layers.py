@@ -48,7 +48,7 @@ LAYERS = {
     "mobility": ("world.World.position_at", "world.World.start_leg", "world._new_leg",
                  "world.World.random", "world.World.__init__", "world.solver_count"),
     "radio": ("radio.broadcast", "radio.pdr", "world.World.near", "world.World.forget_index",
-              "world._Index"),
+              "world._Index", "world._entries_at"),
     "handlers": ("protocol.LocateBehavior", "protocol.FloodingBehavior",
                  "protocol._SourceMixin", "protocol.may_transmit", "protocol._set",
                  "protocol._cancel", "protocol._relayed", "protocol._fire_reply",

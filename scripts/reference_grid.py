@@ -1,4 +1,4 @@
-"""Compare `run_once` with the reference runner `tests/reference.py` on a fixed grid.
+"""Compare `run_once` with the reference runner `tests/reference_runner.py` on a fixed grid.
 
 The grid is every protocol × four shapes (n=40 at tau 0.15, n=5, n=40 at tau
 0.05, n=20 in a 2 km arena) × four radios (LoRa, wifi, LoRa with smooth loss and
@@ -20,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import reference  # noqa: E402
+import reference_runner  # noqa: E402
 from locatesim.experiments import PROTOCOLS, ScenarioConfig, run_once  # noqa: E402
 from locatesim.protocol import ProtocolParams  # noqa: E402
 from locatesim.radio import lora_profile, wifi_profile  # noqa: E402
@@ -37,7 +37,7 @@ RUNS = 3
 
 def main() -> int:
     runs = 0
-    spent = {run_once: 0.0, reference.run: 0.0}
+    spent = {run_once: 0.0, reference_runner.run: 0.0}
     for protocol in PROTOCOLS:
         for shape in SHAPES:
             base = ScenarioConfig(protocol=protocol, runs=RUNS, base_seed=1, **shape)
@@ -57,7 +57,7 @@ def main() -> int:
                                       f"\n  reference {results[1]}")
                                 return 1
     print(f"{runs} runs agree; run_once {spent[run_once]:.1f} s, "
-          f"reference {spent[reference.run]:.1f} s")
+          f"reference {spent[reference_runner.run]:.1f} s")
     return 0
 
 

@@ -171,7 +171,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     that `LocateBehavior.carry_tick` draws after the coin, as `on_timer`
     would. That is exact: the same two draws happen at the same event, the
     tick changes no phase, and `waiting` and `able` cannot move without a
-    change of state.
+    change of state. The timer is armed at the `dtn_fire_at` that `carry_tick`
+    sets, the same float as t plus the period it returns.
 
     Collisions: a copy is dropped if another frame its receiver hears overlaps
     it, endpoints included. All frames last `airtime` and are recorded as sent,
@@ -188,8 +189,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     all of them, and the quiescence check, made only between events, counts
     the DELIVERY events pending (`in_flight`).
 
-    `tests/reference.py`, a plain runner with none of these shortcuts (nor
-    `broadcast`'s), is their oracle: the tests compare it with this one.
+    `tests/reference_runner.py`, a plain runner with none of these shortcuts
+    (nor `broadcast`'s), is their oracle: the tests compare it with this one.
     """
     seed = config.base_seed ^ run_index
     stream = RandomStream(seed)
@@ -214,7 +215,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     on_freeze_poll = behavior.on_freeze_poll
     ignores_request = behavior.ignores_request
     carry_tick = getattr(behavior, "carry_tick", None)  # a baseline never has a spent tick
-    states: dict[int, EmergencyState] = {}
+    states: list[EmergencyState | None] = [None] * len(world.nodes)  # per node id, once aware
     prev_end = [-math.inf] * len(world.nodes)  # per receiver id (collisions, above)
     last_end = prev_end[:]
     aware = {SOURCE_ID}
@@ -304,7 +305,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
             # a spent carry tick (see may_transmit): the handler's two draws and the re-arm of
             # its slot (data, DTN) are all it would do
             st = states[node]
-            st.live[data] = schedule(t + carry_tick(st, t, stream)[1], TIMER, node, data)
+            carry_tick(st, t, stream)  # sets dtn_fire_at to t plus the period it draws
+            st.live[data] = schedule(st.dtn_fire_at, TIMER, node, data)
             continue
         if kind == LEG_END:
             leg = world.start_leg(node, t, stream)
@@ -320,7 +322,7 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
         else:
             nodes = (node,)
         for node in nodes:
-            st = states.get(node)
+            st = states[node]
             if delivery:
                 if collision and prev_end[node] >= sent:
                     continue

@@ -252,8 +252,11 @@ def _become_solved(st: EmergencyState, acts: list[tuple]) -> None:
     if st.phase == SOLVED:
         return
     st.phase = SOLVED
-    for slot in (GUARD, FORWARD, DTN, POLL):
-        _cancel(st, acts, slot)
+    live = st.live
+    if live:
+        for slot in (GUARD, FORWARD, DTN, POLL):
+            if slot in live:  # `_cancel`, only for the slots that are armed
+                acts.append((CANCEL_TIMER, slot, live.pop(slot)))
     st.freeze_pos = None
     st.dtn_remaining_s = -1.0
 
@@ -269,6 +272,8 @@ class LocateBehavior(_SourceMixin):
         self.params = params
         self.dtn_optimized = dtn_optimized
         self._carry_p: dict[int, float] = {}  # dtn_forward_probability per overheard count
+        # carry_tick's period window, once: (cw_min, cw_max - cw_min, cw_max)
+        self._carry_window = (params.cw_min_s, params.cw_max_s - params.cw_min_s, params.cw_max_s)
 
     # -- deliveries ---------------------------------------------------------
 
@@ -413,9 +418,8 @@ class LocateBehavior(_SourceMixin):
         # ProtocolParams gives 0 <= cw_min < cw_max, so neither check could fail
         random = stream.random
         coin = random() < p
-        lo = self.params.cw_min_s
-        hi = self.params.cw_max_s
-        period = lo + (hi - lo) * random()
+        lo, span, hi = self._carry_window
+        period = lo + span * random()
         if period >= hi:  # the half-open bound, against rounding
             period = math.nextafter(hi, lo)
         st.dtn_fire_at = t + period

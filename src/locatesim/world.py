@@ -54,47 +54,59 @@ distance = math.dist  # math.hypot(p[0] - q[0], p[1] - q[1]) bit for bit, in C
 Entry = tuple[int, float, float]  # a node's id and its position when the index was built
 
 
+# placement's index until its first query: every drift passes it, so `World.near` takes it up
+_SKIN_UNSET = -1.0
+
+
 class _Index:
     """Node entries (id, x0, y0) at build time t0, sorted by x0, and their x0 column `xs`.
 
-    (x0, y0) is where `position_at` puts the node at t0. The entries do not
-    depend on any reach, so one index serves a query of any reach. `skin` is
-    how far the fastest node may drift before the index is rebuilt: the reach
-    of the query that built it, or the margin if that is wider.
+    (x0, y0) is where `position_at` puts the node at t0, and vmax is the fastest
+    leg speed then, which bounds the speed (`_new_leg` never draws a faster one):
+    `World.near` takes both from the legs (`_entries_at`), `World.random` from
+    the legs it draws. The entries do not depend on any reach, so one index
+    serves a query of any reach. `skin` is how far the fastest node may drift
+    before the index is rebuilt: the reach of the query that built it, or the
+    margin if that is wider; placement's index gets it from its first query.
     """
 
     __slots__ = ("t0", "skin", "vmax", "entries", "xs")
 
-    def __init__(self, nodes: list[NodeRecord], side: float, t0: float, reach: float) -> None:
-        self.t0 = t0
-        self.skin = max(reach, DRIFT_MARGIN)
-        vmax = SPEED_MAX
-        entries: list[Entry] = []
-        for rec in nodes:
-            leg = rec.leg
-            x = leg.x0
-            y = leg.y0
-            speed = leg.speed
-            if speed != 0.0:  # as in position_at; a still node keeps even a spot off the arena
-                dt = t0 - leg.start
-                x += leg.vx * dt
-                y += leg.vy * dt
-                if x < 0.0:
-                    x = 0.0
-                elif x > side:
-                    x = side
-                if y < 0.0:
-                    y = 0.0
-                elif y > side:
-                    y = side
-                if speed > vmax:
-                    vmax = speed
-            entries.append((rec.id, x, y))
+    def __init__(self, entries: list[Entry], vmax: float, t0: float, skin: float) -> None:
         entries.sort(key=itemgetter(1))
-        # fastest leg now, which bounds the speed; _new_leg never draws a faster one
+        self.t0 = t0
+        self.skin = skin
         self.vmax = vmax
         self.entries = entries
         self.xs = [entry[1] for entry in entries]
+
+
+def _entries_at(nodes: list[NodeRecord], side: float, t0: float) -> tuple[list[Entry], float]:
+    """Every node's entry (id, x0, y0) at t0, in id order, and the fastest leg speed then
+    (at least SPEED_MAX)."""
+    vmax = SPEED_MAX
+    entries: list[Entry] = []
+    for rec in nodes:
+        leg = rec.leg
+        x = leg.x0
+        y = leg.y0
+        speed = leg.speed
+        if speed != 0.0:  # as in position_at; a still node keeps even a spot off the arena
+            dt = t0 - leg.start
+            x += leg.vx * dt
+            y += leg.vy * dt
+            if x < 0.0:
+                x = 0.0
+            elif x > side:
+                x = side
+            if y < 0.0:
+                y = 0.0
+            elif y > side:
+                y = side
+            if speed > vmax:
+                vmax = speed
+        entries.append((rec.id, x, y))
+    return entries, vmax
 
 
 def solver_count(n: int, tau: float) -> int:
@@ -176,7 +188,12 @@ class World:
         """Source pinned at the center, n mobiles placed uniformly, solvers sampled by tau.
 
         Draw order is fixed (positions, then solver ids, then initial legs in id
-        order) so a seed fully determines the world.
+        order) so a seed fully determines the world. The world starts with its
+        t=0 position index, built from the legs as they are drawn: every leg
+        starts at 0, where `position_at` gives its (x0, y0), and none is faster
+        than SPEED_MAX. So it holds the entries a rebuild at 0 would compute,
+        bit for bit; its skin is set by the first `near` (see there). Setting a
+        leg by hand before that query calls for `forget_index`, as after it.
         """
         c = side / 2.0
         still = MobilityLeg(c, c, 0.0, 0.0, 0.0, math.inf, 0.0, 0.0)
@@ -192,10 +209,14 @@ class World:
             positions.append((x if x < side else top, y if y < side else top))
         solver_ids = set(stream.sample(range(1, n + 1), solver_count(n, tau)))
         nodes = world.nodes
+        entries: list[Entry] = [(0, c, c)]
         solver, relay = Role.SOLVER, Role.RELAY  # once: enum members are slow to look up
         for i, (x, y) in enumerate(positions, start=1):
             role = solver if i in solver_ids else relay
-            nodes.append(NodeRecord(i, role, False, _new_leg(x, y, 0.0, side, stream)))
+            leg = _new_leg(x, y, 0.0, side, stream)
+            nodes.append(NodeRecord(i, role, False, leg))
+            entries.append((i, leg.x0, leg.y0))  # snapped to an edge, as the leg starts
+        world._index = _Index(entries, SPEED_MAX, 0.0, _SKIN_UNSET)
         return world
 
     def position_at(self, node_id: int, t: float) -> tuple[float, float]:
@@ -230,16 +251,24 @@ class World:
         candidates are every entry with x0 in [x - r, x + r], one slice of the
         x-sorted entries: a superset of that disk, which a caller narrows on
         (x0, y0). r comes from the query's own reach, so a query of any reach
-        can use the live index. It is rebuilt only when t < t0 or when the
-        drift vmax * (t - t0) passes the skin of the reach that built it; the
-        drift is computed once, for both the test and r, and is 0 on a fresh
-        index. Legs change only through `start_leg`, which keeps the index
-        valid; after setting a leg by hand, call `forget_index`.
+        can use the live index. It is rebuilt from the legs only when t < t0 or
+        when the drift vmax * (t - t0) passes the skin of the reach that built
+        it; the drift is computed once, for both the test and r, and is 0 on a
+        fresh index. The index `World.random` builds at t=0 has no skin yet:
+        the first query takes it up if it asks at t=0, setting the skin from
+        its own reach, and rebuilds it at t otherwise. So the builds and their
+        entries follow the same schedule as if that query had built it. Legs
+        change only through `start_leg`, which keeps the index valid; after
+        setting a leg by hand, call `forget_index`.
         """
         idx = self._index
         if idx is None or t < idx.t0 or (drift := idx.vmax * (t - idx.t0)) > idx.skin:
-            idx = self._index = _Index(self.nodes, self.side, t, reach)
-            drift = 0.0  # vmax * (t - t0) at the new index's own t0
+            if idx is not None and idx.skin == _SKIN_UNSET and t == idx.t0:
+                idx.skin = max(reach, DRIFT_MARGIN)  # placement's index, first asked for now
+            else:
+                entries, vmax = _entries_at(self.nodes, self.side, t)
+                idx = self._index = _Index(entries, vmax, t, max(reach, DRIFT_MARGIN))
+            drift = 0.0  # vmax * (t - t0) at the index's own t0
         r = reach + drift + DRIFT_MARGIN
         xs = idx.xs
         return idx.entries[bisect_left(xs, x - r):bisect_right(xs, x + r)], r

@@ -20,7 +20,7 @@ from locatesim.protocol import (DTN_ACTIVE, DTN_FROZEN, E_REP, E_REQ, SOLVED, Lo
                                ProtocolParams)
 from locatesim.radio import INTERFERENCE_COLLISION, SMOOTH, lora_profile
 from locatesim.world import Role, World
-import reference
+import reference_runner
 import test_acceptance as gate
 from paired import dtn_optimization
 from topologies import line_world, pair_world, static_world, walking
@@ -343,7 +343,7 @@ def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
     carry = ScenarioConfig(n=4, tau=0.25, horizon_s=600.0, params=ProtocolParams(p_start=1.0))
     cases = [(carry, idx, _convoy) for idx in range(4)]
     cases.append((dataclasses.replace(carry, horizon_s=3600.0), 3, _static_trio))
-    skipped = [reference.compare(cfg, idx, make_world) for cfg, idx, make_world in cases]
+    skipped = [reference_runner.compare(cfg, idx, make_world) for cfg, idx, make_world in cases]
     popped = []
     poll = LocateBehavior.on_freeze_poll
 
@@ -353,12 +353,12 @@ def test_skipped_freeze_polls_equal_polling_every_second(monkeypatch):
 
     monkeypatch.setattr(LocateBehavior, "on_freeze_poll", counted)
     polls = {}
-    for runner in (run_once, reference.run):
+    for runner in (run_once, reference_runner.run):
         popped.clear()
         for cfg, idx, make_world in cases:
             runner(cfg, idx, world=make_world())
         polls[runner] = len(popped)
-    assert polls[run_once] < polls[reference.run] / 2
+    assert polls[run_once] < polls[reference_runner.run] / 2
     for res, trace in skipped[:-1]:
         # each convoy carrier thaws at the third tick after it froze (50 m at 20 m/s),
         # which a bound of SPEED_MAX alone would skip past
@@ -485,7 +485,7 @@ def test_a_leg_ending_at_the_horizon_still_ends(monkeypatch):
         started.clear()
         assert run_once(cfg, 0, world=walker()).end_time_s == horizon_s
         legs = [(node, t) for node, t, _ in started]
-        reference.compare(cfg, 0, walker)  # the reference queues every leg end
+        reference_runner.compare(cfg, 0, walker)  # the reference queues every leg end
         return legs
 
     # the hand-built leg ends at the horizon and pops; the next one ends past it
@@ -534,7 +534,7 @@ def test_quiescent_exit_equals_a_run_to_the_horizon(protocol):
     cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
     # the reference has no quiescent exit: it runs on to the horizon, logging at most
     # phase entries after the shipped run's last entry, and its result is the same
-    results = [reference.compare(cfg, idx)[0] for idx in range(6)]
+    results = [reference_runner.compare(cfg, idx)[0] for idx in range(6)]
     # the sample must hold runs that end at the horizon, which the quiescent exit decides
     assert sum(res.end_time_s == cfg.horizon_s for res in results) >= 3
 
@@ -593,7 +593,7 @@ def test_copies_of_one_broadcast_are_handled_before_a_zero_delay_reply():
     # under collisions the reply's frame starts as the beacon's ends, so the relays, which
     # heard both, drop the reply's copies (the frames touch): the reference agrees
     radio = lora_profile(interference=INTERFERENCE_COLLISION)
-    reference.compare(small(n=3, runs=1, radio=radio), 0, _zero_delay_world)
+    reference_runner.compare(small(n=3, runs=1, radio=radio), 0, _zero_delay_world)
 
 
 def test_a_run_stops_inside_a_broadcast_once_nobody_waits():
@@ -738,6 +738,34 @@ def test_solved_nodes_never_rebroadcast_requests():
     for e in trace:
         if e[0] == "tx" and e[3] == E_REQ and e[2] in solved_at:
             assert e[1] <= solved_at[e[2]]
+
+
+@pytest.mark.parametrize("protocol,replies,repeats", [("flooding", 176, 7),
+                                                      ("probabilistic", 110, 5)])
+def test_baseline_nodes_relay_each_request_once_but_may_reply_again(protocol, replies, repeats):
+    # SPEC.md's reading of "every node relays each message once", over 40 runs at n=40 and
+    # 40 at n=5 (seed 1): no node but the source sends a request twice, but a solver arms
+    # a fresh reply for each request it hears while none is armed, and a solved relay
+    # answers requests with its cached reply, so some nodes send more than one reply
+    sent_replies = sent_again = 0
+    for n in (40, 5):
+        config = ScenarioConfig(n=n, protocol=protocol, runs=40)
+        for i in range(40):
+            trace: list = []
+            run_once(config, i, trace=trace)
+            requests: set[int] = set()
+            answered: set[int] = set()
+            for e in trace:
+                if e[0] != "tx" or e[2] == 0:
+                    continue
+                if e[3] == E_REQ:
+                    assert e[2] not in requests, (n, i, e)
+                    requests.add(e[2])
+                else:
+                    sent_replies += 1
+                    sent_again += e[2] in answered
+                    answered.add(e[2])
+    assert (sent_replies, sent_again) == (replies, repeats)
 
 
 def test_transmitted_ttls_stay_within_the_initial_budget():

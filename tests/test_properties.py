@@ -19,7 +19,7 @@ from locatesim.radio import (INTERFERENCE_COLLISION, INTERFERENCE_NONE, SMOOTH, 
                              RadioProfile, lora_profile)
 from locatesim.world import SPEED_MAX, Role, World, distance
 
-import reference
+import reference_runner
 from topologies import static_world
 
 DEFAULTS = ProtocolParams()
@@ -186,14 +186,18 @@ reply_configs = scenarios(("flooding", "probabilistic"), n=st.integers(2, 25),
                           horizon_s=st.floats(600.0, 3600.0), side_m=st.floats(300.0, 2000.0))
 
 
+# relays solved after their relay decision hear later requests and answer them with their
+# cached reply; no generated example reaches that skip rule, so the flooding run is pinned
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(configs, statechart_configs, flooding_configs, locate_configs, settling_configs,
                  carry_configs, reply_configs))
+@example(ScenarioConfig(n=30, tau=0.25, protocol="probabilistic", side_m=936.0, runs=1,
+                        base_seed=1838, horizon_s=3.0))
 def test_run_once_agrees_with_the_reference_runner(config):
-    """`run_once` and `tests/reference.py`, which has none of its shortcuts, give the
+    """`run_once` and `tests/reference_runner.py`, which has none of its shortcuts, give the
     same `RunResult` and the same `trace=` list up to the order of same-time entries;
     past the shipped run's quiescent exit the reference logs only phase entries."""
-    reference.compare(config)
+    reference_runner.compare(config)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,7 +212,7 @@ def test_short_spent_carry_ticks_change_no_run(config):
     """Re-arming a spent carrier's tick through `carry_tick` alone, and the quiescent
     exit, give what the reference gives, which hands every timer to `on_timer` and runs on
     to resolution or the horizon: the reference property over the carrier configs."""
-    reference.compare(config)
+    reference_runner.compare(config)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -225,7 +229,7 @@ def test_skipping_ignored_request_copies_changes_no_run(config):
     """The DELIVERY walk's skip of copies that the behavior's `ignores_request` says
     change nothing gives what the reference gives, which hands every copy to the handler:
     the reference property over the configs with the most request copies."""
-    reference.compare(config)
+    reference_runner.compare(config)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -17,7 +17,7 @@ from locatesim.protocol import (ACCEPT, ACCEPTING, CANCEL_TIMER, DTN, DTN_ACTIVE
                                 distance_bias, dtn_forward_probability,
                                 forwarding_window, may_transmit)
 
-import reference
+import reference_runner
 from test_properties import scenarios
 
 P = ProtocolParams()
@@ -292,6 +292,26 @@ def test_relay_guard_expiry_starts_forwarding_contention():
     assert 0.0 <= delay < forwarding_window(400.0, P)
 
 
+@pytest.mark.parametrize("make", [locate, basic])
+def test_contention_windows_measure_from_the_last_hop_not_the_source(make):
+    # SPEC.md's reading of "nodes far from the source wait longer before answering duties
+    # but forward sooner": a copy relayed from 100 m away reaches nodes 1.9 km from the
+    # source, and both windows take the 100 m to its last hop (msg.tx_pos)
+    b = make()
+    pos = (4400.0, 2500.0)
+    copy = req(tx=7, ttl=15, tx_pos=(4300.0, 2500.0))
+    acts = b.on_delivery(solver_state(), copy, 30.0, pos, RandomStream(3))
+    assert timer_delays(acts) == {ACCEPT: RandomStream(3).uniform(0.0, acceptance_window(100.0, P))}
+    relay = relay_state()
+    b.on_delivery(relay, copy, 30.0, pos, RandomStream(4))
+    acts = b.on_timer(relay, GUARD, 50.0, pos, RandomStream(5))
+    assert timer_delays(acts) == {FORWARD: RandomStream(5).uniform(0.0,
+                                                                   forwarding_window(100.0, P))}
+    # the distance to the source would give a longer reply wait and a shorter relay wait
+    assert acceptance_window(100.0, P) < acceptance_window(1900.0, P)
+    assert forwarding_window(100.0, P) > forwarding_window(1900.0, P)
+
+
 def test_forward_fire_relays_and_enters_carry_phase():
     b = locate()
     st = relay_state()
@@ -494,7 +514,7 @@ def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
     # no solver, so the source beacons to the horizon; a 2-hop budget spends carriers early
     config = ScenarioConfig(n=12, tau=0.0, side_m=2000.0, runs=1, horizon_s=3600.0,
                             params=ProtocolParams(ttl_init=2))
-    reference.compare(config)
+    reference_runner.compare(config)
     calls = []
     on_timer = LocateBehavior.on_timer
 
@@ -504,12 +524,12 @@ def test_spent_carry_ticks_skip_the_handler_and_change_no_run(monkeypatch):
 
     monkeypatch.setattr(LocateBehavior, "on_timer", counted_on_timer)
     handled = {}
-    for runner in (run_once, reference.run):
+    for runner in (run_once, reference_runner.run):
         calls.clear()
         runner(config, 0)
         handled[runner] = len(calls)
     # the reference hands every timer to on_timer; run_once re-arms spent ticks itself
-    assert handled[run_once] < handled[reference.run] / 2
+    assert handled[run_once] < handled[reference_runner.run] / 2
 
 
 def test_first_competitor_reschedules_the_period():
@@ -1053,7 +1073,7 @@ def test_ignored_request_copies_change_nothing_in_a_run(config):
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(cls, "on_delivery", capturing)
-        reference.run(config, 0)
+        reference_runner.run(config, 0)
     for b, st, msg, t, pos in seen:
         if b.ignores_request(st, msg):
             assert _effects(b, st, msg, t, pos, config.base_seed) == ([], False, False), \

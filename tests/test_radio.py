@@ -14,7 +14,7 @@ from locatesim.radio import (INTERFERENCE_COLLISION, SMOOTH, UNIT_DISK, RadioPro
                              broadcast, lora_profile, pdr, wifi_profile)
 from locatesim.world import DRIFT_MARGIN, SPEED_MAX, NodeRecord, Role, World, _Index, distance
 
-import reference
+import reference_runner
 from topologies import static_world, still_leg, walking
 
 
@@ -176,7 +176,7 @@ def test_still_nodes_off_the_arena_are_indexed_at_their_own_spots():
     assert sorted(candidates) == [(0, -0.98, -0.98), (1, -1.01, -1.01), (3, -1.5, 3.0)]
     assert r == profile.range_m + DRIFT_MARGIN
     assert broadcast(world, 0, 0.0, profile, RandomStream(1)) == \
-        reference.receivers(world, 0, 0.0, profile, RandomStream(1)) == [1]
+        reference_runner.receivers(world, 0, 0.0, profile, RandomStream(1)) == [1]
 
 
 def test_a_walker_off_the_arena_is_indexed_where_position_at_clamps_it():
@@ -262,7 +262,7 @@ def _advance(world: World, legs: RandomStream, t: float) -> float:
 
 def _check_broadcast(world, tx_node, t, profile, stream, twin):
     assert broadcast(world, tx_node, t, profile, stream) == \
-        reference.receivers(world, tx_node, t, profile, twin), (tx_node, t)
+        reference_runner.receivers(world, tx_node, t, profile, twin), (tx_node, t)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -309,7 +309,7 @@ def test_near_rebuilds_when_forgotten_and_past_its_skin_but_not_for_another_reac
     far = RadioProfile(range_m=4000.0)
     assert _ids(world, 50.0, 50.0, 0.0, 4000.0) == [0, 1, 2]
     assert broadcast(world, 0, 0.0, far, RandomStream(1)) == \
-        reference.receivers(world, 0, 0.0, far, RandomStream(1)) == [1, 2]
+        reference_runner.receivers(world, 0, 0.0, far, RandomStream(1)) == [1, 2]
     assert world._index is built and built.skin == 100.0
     # a step back in time rebuilds from the positions then, the radius grows with the
     # fastest node's drift since the build, and a drift past the skin rebuilds
@@ -424,7 +424,7 @@ def _interval_survivors(broadcasts: list[tuple[float, tuple[int, ...]]],
         for receiver in receivers:
             if not landing:
                 frames.setdefault(receiver, []).append((start, start + airtime))
-            elif not reference.collided(frames[receiver], t - airtime, t):
+            elif not reference_runner.collided(frames[receiver], t - airtime, t):
                 kept.append((receiver, t))
     return kept
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locatesim.kernel import RandomStream
-from locatesim.world import (SPEED_MAX, SPEED_MIN, MobilityLeg, NodeRecord, Role,
-                             World, distance, solver_count)
+from locatesim.world import (DRIFT_MARGIN, SPEED_MAX, SPEED_MIN, MobilityLeg, NodeRecord,
+                             Role, World, distance, solver_count)
 
 from topologies import still_leg
 
@@ -92,6 +92,53 @@ def test_random_world_legs_equal_start_leg_on_a_still_world(n, tau, side, seed):
     assert w.nodes == hand.nodes
     assert [rec.leg for rec in w.nodes[1:]] == legs
     assert stream._rng.getstate() == twin._rng.getstate()
+
+
+def _bits(entries: list) -> list:
+    """Index entries with their coordinates as hex, so that equality is bit for bit."""
+    return [(i, x.hex(), y.hex()) for i, x, y in entries]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 150), st.floats(0.0, 1.0), st.floats(10.0, 5000.0),
+       st.integers(0, 2**31 - 1), st.floats(0.5, 6000.0), st.floats(0.0, 600.0, exclude_min=True))
+def test_placement_index_equals_a_rebuild_from_the_legs_at_zero(n, tau, side, seed, reach, later):
+    world = World.random(n, tau, side, RandomStream(seed))
+    placed = world._index
+    # the same world with the index forgotten: its first query rebuilds it from the legs at 0
+    rebuilt = World.random(n, tau, side, RandomStream(seed))
+    rebuilt.forget_index()
+    c = side / 2.0
+    assert rebuilt.near(c, c, 0.0, reach) == world.near(c, c, 0.0, reach)
+    fresh = rebuilt._index
+    assert (placed.t0, placed.vmax) == (fresh.t0, fresh.vmax) == (0.0, SPEED_MAX)
+    assert _bits(placed.entries) == _bits(fresh.entries)
+    assert placed.xs == fresh.xs == sorted(placed.xs)
+    # each entry is where position_at puts its node at 0
+    assert _bits(sorted(placed.entries)) == \
+        _bits([(i, *world.position_at(i, 0.0)) for i in range(n + 1)])
+    # the first query, at 0, takes the placement index up and sets its skin from its reach
+    assert world._index is placed and placed.skin == fresh.skin == max(reach, DRIFT_MARGIN)
+    # a first query after 0 rebuilds at its own time, as if no index had been placed
+    late = World.random(n, tau, side, RandomStream(seed))
+    late.near(c, c, later, reach)
+    assert late._index.t0 == later and late._index.skin == max(reach, DRIFT_MARGIN)
+
+
+def test_placement_index_holds_the_leg_start_snapped_to_the_edge():
+    # the first spot is drawn 1e-10 m from the west edge and from the north one: its leg
+    # starts on both edges, and so does its index entry, as a rebuild at 0 would have it
+    stream = RandomStream(4)
+    spot = iter([1e-12, 1.0 - 1e-12])
+    draw = stream.random
+    stream.random = lambda: next(spot, None) or draw()
+    world = World.random(1, 0.0, 100.0, stream)
+    assert (world.nodes[1].leg.x0, world.nodes[1].leg.y0) == (0.0, 100.0)
+    placed = world._index.entries
+    world.forget_index()
+    world.near(50.0, 50.0, 0.0, 500.0)
+    assert _bits(placed) == _bits(world._index.entries) == _bits([(1, 0.0, 100.0),
+                                                                  (0, 50.0, 50.0)])
 
 
 def _uniform_leg(x: float, y: float, side: float, twin: RandomStream) -> tuple[float, float]:
