@@ -18,6 +18,16 @@ process waits for a CPU is delivered once, when it runs again, so a wait
 adds at most one sample. CPython handles a signal only between bytecodes, so
 a C call's time falls to the Python frame that made it.
 
+So a sample is charged where the signal is handled, at the next check for
+pending signals (a call into a Python function, a backward jump), not where
+the time went. Adding or removing one builtin call in the run loop therefore
+moves 3-6 points between neighbouring layers: removing one `dict.get` from
+`run_once`'s loop read runner 9.0 → 4.1 and mobility 3.9 → 8.6 at `locate`
+n=5 (`--passes 5`), while the benchmark's traced self times barely moved.
+Compare tables only between trees whose run loops make the same builtin
+calls; otherwise compare the traced self times
+(`perfbench/run.py --trace 1`, the `*.self_ms_per_run` metrics).
+
 Each pass runs every fixed point of `points.py` and the two benchmark-shaped
 points of `ab.py`, RUNS runs each; the points alternate within a pass so that
 drift in host speed falls on all of them. Per point it prints each layer's

@@ -313,6 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command in argv (default: the process's arguments); return its exit code.
+
+    0 success, 1 failed selftest, 2 configuration error, 3 output files could
+    not be written. Every setting is checked before anything is simulated, each
+    by the code that defines it (`ScenarioConfig`, `ProtocolParams`, the radio
+    profile, `sweep_points`, `worker_count`). A bad one gives exit 2 and one
+    `error:` line that names the bad value and, where the values are a fixed
+    set, the allowed ones. A flag's value is text, checked exactly like the
+    config file entry of the same key, so `--n abc` and `n = abc` give the same
+    line. A flag's value may start with `-`: `--horizon -1e5` gives the line
+    `horizon = -1e5` gives. Only an unknown flag, a flag without a value (a
+    token that starts with `--` is never a value) or a missing command is
+    reported by the argument parser, with its usage text.
+    """
     # `--flag -1e5` goes to argparse as `--flag=-1e5`: it takes a value that starts with
     # one `-` and is not a plain negative number (`-1e5`, `-inf`) for an option
     tokens: list[str] = []

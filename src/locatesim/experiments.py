@@ -18,6 +18,13 @@ THREADS_ENV = "LOCATE_SIM_THREADS"
 
 
 def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first access and then kept as a global.
+
+    It is the pool's one patch point, for tests and for the benchmark's span
+    recorder: `run_batches` constructs whatever class the name is bound to when
+    it is called. So importing the package, or running a serial batch, never
+    loads `concurrent.futures` or `multiprocessing`.
+    """
     # the pool pulls in multiprocessing: load it with the first pooled batch, not at import
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +52,30 @@ CHUNK_MAX = 64  # tasks per pool chunk at most (run_batches)
 
 @dataclass(slots=True)
 class ScenarioConfig:
+    """One simulated point; every accepted config gives runs that end.
+
+    Base seeds are non-negative: `random.Random` seeds with the absolute value
+    of an integer, so run i of base seed -1 would replay run i + 1 of base
+    seed 0 while runs.csv recorded another seed.
+
+    The arena side is at least DRIFT_MARGIN (1 m, the position index's least
+    skin). A leg lasts about side / speed, so on a far smaller arena leg ends
+    fall below the clock's resolution, repeat at one time, and the run never
+    ends.
+
+    The horizon is at most 1e6 * cw_max. An unsolved source beacons until the
+    run ends, with a period that averages at least cw_max / 2, so this caps its
+    expected beacons near 2e6. Without the cap a window below the clock's
+    resolution (cw_min = 0, cw_max = 1e-300) would refire the beacon at one
+    time forever. The defaults use a ratio of 4,320 (24 h over 20 s).
+
+    The horizon is also at most 1e6 s, that is 1e6 ticks of the POLL_PERIOD_S
+    lattice. A frozen carrier's poll is placed by adding 1 s at a time from
+    the freeze up to the first tick that could thaw it (`run_once`), so a
+    carrier that thaws late costs one addition per second it waited. Past
+    2**53 s adding 1 s no longer changes the time, and the run would never end.
+    """
+
     n: int = 40
     tau: float = 0.15
     protocol: str = "locate"
@@ -115,8 +146,12 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
 
     The per-run seed is base_seed XOR run_index. A caller-supplied world skips
     random placement (the seed then drives only protocol timing and losses).
-    When `trace` is given it collects ("phase", t, node, phase), ("tx", t,
-    node, kind, ttl) and ("aware", t, node) tuples for inspection.
+    Its position index is forgotten first, since its legs may have been set by
+    hand. When `trace` is given it collects ("phase", t, node, phase), ("tx",
+    t, node, kind, ttl) and ("aware", t, node) tuples for inspection. The
+    list stops at the run's end, quiescence included: the only entries a
+    quiescent run leaves out are phase flips of spent carriers (a frozen
+    carrier with no hop budget thawing), which can never transmit.
 
     Quiescence: no copy is in flight and no node may transmit again without
     hearing one (`protocol.may_transmit`), so the counts and the resolution
@@ -136,7 +171,8 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     A frozen carrier thaws at the first tick of its 1 s poll lattice at which
     it is dtn_dist from its anchor. START_POLL carries the metres still left
     and arms the node's POLL slot at the first tick it could reach: no node
-    outruns max(SPEED_MAX, its current leg speed). The lattice is still built
+    outruns max(SPEED_MAX, its current leg speed), and DRIFT_MARGIN (1 m) is
+    kept in hand for rounding. The lattice is still built
     by repeated addition, so the thawing tick is the same float as with every
     tick popped. A carrier that cannot reach that tick by the horizon skips the
     walk: its poll is armed at horizon + POLL_PERIOD_S instead, past the horizon
@@ -172,7 +208,9 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     would. That is exact: the same two draws happen at the same event, the
     tick changes no phase, and `waiting` and `able` cannot move without a
     change of state. The timer is armed at the `dtn_fire_at` that `carry_tick`
-    sets, the same float as t plus the period it returns.
+    sets, the same float as t plus the period it returns. No switch selects
+    this path. Re-arming a spent tick without the queue was measured and left
+    out: the tick's own re-arm is rarely the next event (CHANGES.md).
 
     Collisions: a copy is dropped if another frame its receiver hears overlaps
     it, endpoints included. All frames last `airtime` and are recorded as sent,
@@ -182,12 +220,13 @@ def run_once(config: ScenarioConfig, run_index: int, world: World | None = None,
     iff `prev_end >= sent`. A zero-delay reply starts as a copy lands but is
     sent by a later event, so only the reply's own copy is dropped.
 
-    A broadcast that reaches anyone is one DELIVERY event at t + airtime.
-    This is exactly one event per copy: such copies would share the time and
-    take consecutive insertion numbers, so nothing could pop between them, an
-    event scheduled while they are handled (a zero-delay reply) pops after
-    all of them, and the quiescence check, made only between events, counts
-    the DELIVERY events pending (`in_flight`).
+    A broadcast that reaches anyone is one DELIVERY event at t + airtime,
+    holding the message and its receivers; one that reaches nobody schedules
+    nothing. This is exactly one event per copy: such copies would share the
+    time and take consecutive insertion numbers, so nothing could pop between
+    them, an event scheduled while they are handled (a zero-delay reply) pops
+    after all of them, and the quiescence check, made only between events,
+    counts the DELIVERY events pending (`in_flight`).
 
     `tests/reference_runner.py`, a plain runner with none of these shortcuts
     (nor `broadcast`'s), is their oracle: the tests compare it with this one.
@@ -385,7 +424,14 @@ def worker_count(runs: int) -> int:
 
 def run_batches(configs: list[ScenarioConfig]) -> list[tuple[list[RunResult], Aggregate]]:
     """All runs of every config on one pool: per config, in config order, its runs
-    in run-index order plus their aggregate."""
+    in run-index order plus their aggregate.
+
+    One pool serves the runs of all the configs, so no worker waits for a
+    point's last runs while the next point's could go. The pool takes the runs
+    in chunks of at most CHUNK_MAX, in task order, and its results equal a
+    serial loop's. Guided, shrinking chunks were measured and left out: their
+    gain was below the spread of paired sweeps (CHANGES.md).
+    """
     tasks = [(cfg, i) for cfg in configs for i in range(cfg.runs)]
     workers = worker_count(len(tasks))
     if workers <= 1:

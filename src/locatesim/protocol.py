@@ -63,6 +63,13 @@ _new_tuple = tuple.__new__
 
 @dataclass(frozen=True, slots=True)
 class ProtocolParams:
+    """The protocol's constants, checked when built, so the per-event draws need no check.
+
+    cw_max must exceed the least positive float, 5e-324: at that value every
+    period drawn from [0, cw_max) rounds to 0, so even a horizon of 5e-324 s,
+    which `ScenarioConfig`'s cap of 1e6 windows accepts, would never be reached.
+    """
+
     cw_min_s: float = 5.0
     cw_max_s: float = 20.0
     gamma_per_m: float = 0.005  # distance weight slope near zero
@@ -472,6 +479,14 @@ class LocateBehavior(_SourceMixin):
 
     def _freeze(self, st: EmergencyState, t: float, pos: tuple[float, float],
                 acts: list[tuple]) -> None:
+        """Freeze an active carrier at pos, keeping its DTN timer's remaining delay.
+
+        The movement poll's 1 s lattice starts at the freeze, unless the carrier
+        freezes within a second of entering the carry phase: the dormant poll
+        `_enter_dtn` armed is then still live and is reused, so the lattice
+        starts 1 s after the entry. The poll holds the POLL slot of `live`, so
+        solving the carrier cancels it with its other timers.
+        """
         _cancel(st, acts, DTN)
         st.dtn_remaining_s = st.dtn_fire_at - t  # the live timer has not popped yet
         st.freeze_pos = pos

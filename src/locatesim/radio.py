@@ -77,11 +77,14 @@ def broadcast(world: World, tx_node: int, t: float, profile: RadioProfile,
     but for an ulp tie at |dy| = r, a point 1 m beyond any receiver. That is
     exact: a node in range now lay within r - DRIFT_MARGIN of the transmitter
     then, and the band's ends and the squared compare round by a few ulps, far
-    less than the margin. The nodes within reach are sorted by id before any
+    less than the margin. A candidate inside the disk costs one `position_at`
+    call, and its distance is `world.distance`. The nodes within reach are
+    sorted by id, which restores the order a scan of every node has, before any
     loss is drawn, so loss draws happen in node-id order, and only for nodes
     whose delivery ratio is strictly between 0 and 1; the unit-disk model
     consumes no randomness and takes every node within reach without asking
-    `pdr`.
+    `pdr`. Each entry's leg velocity and end in the disk test were measured and
+    left out (CHANGES.md).
     """
     position_at = world.position_at
     tx_pos = position_at(tx_node, t)

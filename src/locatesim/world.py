@@ -254,12 +254,18 @@ class World:
         can use the live index. It is rebuilt from the legs only when t < t0 or
         when the drift vmax * (t - t0) passes the skin of the reach that built
         it; the drift is computed once, for both the test and r, and is 0 on a
-        fresh index. The index `World.random` builds at t=0 has no skin yet:
+        fresh index. This is sort-and-sweep on one axis (Cohen et al.,
+        "I-COLLIDE", I3D 1995), kept valid between builds by a skin as a Verlet
+        neighbour list is in molecular dynamics. The index `World.random` builds
+        at t=0 has no skin yet:
         the first query takes it up if it asks at t=0, setting the skin from
         its own reach, and rebuilds it at t otherwise. So the builds and their
         entries follow the same schedule as if that query had built it. Legs
         change only through `start_leg`, which keeps the index valid; after
         setting a leg by hand, call `forget_index`.
+
+        Measured and left out (CHANGES.md): a ring sorted by distance for a
+        still transmitter, keyed by its point, and a skin of twice the reach.
         """
         idx = self._index
         if idx is None or t < idx.t0 or (drift := idx.vmax * (t - idx.t0)) > idx.skin:

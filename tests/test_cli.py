@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from locatesim import cli
 from locatesim.cli import (AGG_HEADER, KNOWN_KEYS, PARAM_KEYS, RADIO_KEYS, RUNS_HEADER,
                            SCENARIO_KEYS, aggregate_csv_lines, build_parser,
                            build_settings, format_real, main, parse_config_file,
@@ -229,6 +230,18 @@ def test_main_selftest_exit_code(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest: ok" in out
+
+
+def test_main_failed_selftest_exits_1(monkeypatch, capsys):
+    # one reference check off by 1e-6, past the 1e-9 tolerance; the others still pass
+    right = cli.dtn_forward_probability
+    monkeypatch.setattr(cli, "dtn_forward_probability",
+                        lambda p, heard: right(p, heard) * (1.0 + 1e-6 * (heard == 2)))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert [line.split(" = ")[0] for line in out.splitlines() if line.startswith("FAIL")] \
+        == ["FAIL  dtn_forward_probability(0.4, 2)"]
+    assert "selftest: FAILED" in out
 
 
 RUN_ARGS = ["run", "--protocol", "locate", "--n", "8", "--tau", "0.25",

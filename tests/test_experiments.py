@@ -152,6 +152,8 @@ def run_fresh(script, threads):
 
 
 def test_import_and_serial_batches_leave_the_pool_and_statistics_unloaded():
+    """In a new interpreter: importing `locatesim.cli` loads neither the pool
+    modules nor `statistics`, and a serial batch does not load the pool modules."""
     run_fresh("""
         import locatesim.cli
         pool_modules = ("concurrent.futures.process", "multiprocessing")
@@ -167,6 +169,8 @@ def test_import_and_serial_batches_leave_the_pool_and_statistics_unloaded():
 
 
 def test_pool_class_loads_on_first_pooled_batch():
+    """A pooled batch in an interpreter that never touched the pool class loads it,
+    and equals a serial batch."""
     with pytest.raises(AttributeError, match="locatesim.experiments"):
         experiments.NoSuchName
     assert not hasattr(experiments, "NoSuchName")
@@ -396,6 +400,9 @@ NEVER_THAWS = (
 
 
 def test_a_poll_that_cannot_thaw_before_the_horizon_skips_the_lattice(monkeypatch):
+    """Three carriers that freeze for good (`dtn_dist` 1e300, horizon 1e6 s) keep
+    the result and `trace=` list recorded while their polls still walked the lattice to
+    the horizon, and each poll is armed 1 s past it."""
     cfg = ScenarioConfig(n=4, tau=0.25, horizon_s=1e6,
                          params=ProtocolParams(p_start=1.0, dtn_dist_m=1e300))
     polls = []
@@ -531,6 +538,8 @@ def test_a_solved_carrier_pops_no_freeze_poll(monkeypatch):
 
 @pytest.mark.parametrize("protocol", ["locate", "locate-basic"])
 def test_quiescent_exit_equals_a_run_to_the_horizon(protocol):
+    """Six n=40 runs, at least three of them ending at the horizon, equal the
+    reference runner's, which has no quiescent exit."""
     cfg = ScenarioConfig(n=40, tau=0.15, protocol=protocol)
     # the reference has no quiescent exit: it runs on to the horizon, logging at most
     # phase entries after the shipped run's last entry, and its result is the same

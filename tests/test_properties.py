@@ -51,6 +51,10 @@ configs = scenarios(PROTOCOLS, n=st.integers(1, 12), tau=st.floats(0.0, 1.0),
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(configs)
 def test_trace_invariants(config):
+    """Over generated small scenarios (any protocol, both loss models, collisions on and
+    off), read back from the `trace=` list: SOLVED is never left, awareness is one-way,
+    every transmitted hop budget stays within `ttl_init`, and a run ends exactly when every
+    aware node is solved, or at the horizon."""
     trace: list = []
     result = run_once(config, 0, trace=trace)
     aware = {SOURCE_ID}
@@ -436,6 +440,8 @@ def test_every_accepted_config_ends_within_an_event_budget(drawn):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(1, 12), st.floats(10.0, 5000.0), st.integers(0, 2**31 - 1), st.integers(1, 8))
 def test_legs_stay_in_the_arena(n, side, seed, legs):
+    """Chains of random mobility legs in generated arenas keep every position in
+    [0, side]²."""
     stream = RandomStream(seed)
     world = World.random(n, 0.5, side, stream)
     for rec in world.nodes[1:]:
@@ -456,6 +462,8 @@ batch_configs = st.builds(lambda cfg, runs, horizon_s: replace(cfg, runs=runs, h
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.lists(batch_configs, min_size=2, max_size=4))
 def test_pooled_batches_equal_serial(batch):
+    """Generated lists of small configs run on one pool give every result and
+    aggregate a serial run gives."""
     with mock.patch.dict(os.environ, {THREADS_ENV: "2"}):
         pooled = run_batches(batch)
     with mock.patch.dict(os.environ, {THREADS_ENV: "1"}):

@@ -441,6 +441,9 @@ def spent_carrier(b, heard):
 @pytest.mark.parametrize("heard", [0, 1])
 @pytest.mark.parametrize("make", [locate, basic])
 def test_spent_carry_tick_draws_as_the_handler_does(make, heard):
+    """The spent tick's one law: for twin spent carriers on twin streams,
+    `carry_tick` and `on_timer` make the same two draws and set the same fire time, and the
+    handler returns only the re-arm with the drawn period."""
     b = make()
     pos = (2900.0, 2500.0)
     for seed in range(20):
@@ -458,6 +461,8 @@ def test_spent_carry_tick_draws_as_the_handler_does(make, heard):
 
 @pytest.mark.parametrize("make", [locate, basic])
 def test_carrier_tick_acts_on_the_carry_tick_draws(make):
+    """A carrier with budget transmits exactly when the coin of `carry_tick` wins,
+    and re-arms with its period."""
     b = make()
     pos = (2900.0, 2500.0)
     coins = 0
@@ -677,6 +682,8 @@ def test_freezing_reuses_an_armed_dormant_poll():
 
 
 def test_may_transmit_table():
+    """`may_transmit` over a table of states, a solver that heard only a ttl-0 copy
+    among them: it has nothing armed and cannot transmit."""
     b = locate()
     armed = object()
     source = source_state()
@@ -768,6 +775,22 @@ def test_spent_reply_is_cached_but_not_relayed():
     assert st.phase == SOLVED
     assert st.cached_rep.ttl == 0
     assert timer_delays(acts) == {}
+
+
+@pytest.mark.parametrize("make", [locate, basic])
+def test_a_spent_reply_replaces_the_cached_one_and_silences_the_armed_relay(make):
+    """Today's answer to SPEC.md's open row "the first to decide sends a reply that is
+    relayed back": a spent reply (ttl 0) replaces a cached one with budget, and the
+    reply relay the first one armed then pops and sends nothing."""
+    b = make()
+    st = relay_state()
+    pos = (2900.0, 2500.0)
+    acts = b.on_delivery(st, rep(ttl=14, tx_pos=(3300.0, 2500.0)), 10.0, pos, RandomStream(3))
+    assert st.phase == SOLVED and FORWARD in timer_delays(acts)
+    assert b.on_delivery(st, rep(ttl=0), 11.0, pos, RandomStream(4)) == []
+    assert st.cached_rep.ttl == 0 and FORWARD in st.live
+    assert b.on_timer(st, FORWARD, 12.0, pos, RandomStream(5)) == []
+    assert not may_transmit(st) and st.live == {}
 
 
 def test_solved_node_answers_requests_from_cache():
@@ -982,6 +1005,10 @@ DECIDED = _decided_relays()
 
 @pytest.mark.parametrize("label,b,st", DECIDED, ids=[case[0] for case in DECIDED])
 def test_decided_baseline_relay_ignores_every_request_copy(label, b, st):
+    """The skip's predicate as a contract: for every copy (any hop budget,
+    transmitter and position) at a decided `flooding` or `probabilistic` relay, it holds,
+    and the handler returns no action, leaves the state equal to a deep copy and leaves a
+    twin stream where it was."""
     assert st.req_done and st.phase == ACCEPTING
     for msg, pos in _request_copies():
         assert b.ignores_request(st, msg), label
@@ -992,6 +1019,7 @@ def test_decided_baseline_relay_ignores_every_request_copy(label, b, st):
 @pytest.mark.parametrize("make", [locate, basic, flood, lambda: FloodingBehavior(P, gated=True)],
                          ids=["locate", "locate-basic", "flooding", "probabilistic"])
 def test_source_ignores_every_request_copy(make):
+    """The same contract at the source, under every protocol."""
     b = make()
     st = source_state()
     b.start_emergency(st, 0.0, ORIGIN, RandomStream(3))
@@ -1041,6 +1069,8 @@ def _acting_copies():
 
 
 def test_ignores_request_is_false_where_a_copy_may_act():
+    """States of every `locate` phase, baseline solvers and solved relays, each
+    paired with a copy that acts on it: the predicate is false there."""
     cases = _acting_copies()
     phases = {st.phase for label, b, st, msg in cases if label.startswith("locate ")}
     assert phases == {UNAWARE, ACCEPTING, FORWARDING, DTN_ACTIVE, DTN_FROZEN, SOLVED}

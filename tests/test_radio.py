@@ -268,6 +268,13 @@ def _check_broadcast(world, tx_node, t, profile, stream, twin):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scan_cases(), st.integers(0, 2**31 - 1))
 def test_indexed_broadcast_equals_a_scan_of_every_node(case, seed):
+    """Over generated worlds (edge and corner nodes, a hand-built leg faster than
+    any random one, times that jump and go back), the index-pruned `broadcast` returns
+    what a scan of every node returns and leaves the stream in the same state. The static
+    source beacons again at later times the same build serves, each step and beacon with a
+    reach of its own. Two of the index's rules are out of any run's reach, so only this
+    test checks them: a query that steps back in time, and a query of another reach than
+    the one that built the index."""
     world, legs, steps, beats = case
     stream = RandomStream(seed)
     twin = RandomStream(seed)

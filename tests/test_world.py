@@ -103,6 +103,8 @@ def _bits(entries: list) -> list:
 @given(st.integers(0, 150), st.floats(0.0, 1.0), st.floats(10.0, 5000.0),
        st.integers(0, 2**31 - 1), st.floats(0.5, 6000.0), st.floats(0.0, 600.0, exclude_min=True))
 def test_placement_index_equals_a_rebuild_from_the_legs_at_zero(n, tau, side, seed, reach, later):
+    """The index `World.random` builds equals, bit for bit, one rebuilt from the
+    legs at 0, and the first query sets its skin (0-150 nodes, sides of 10 m to 5 km)."""
     world = World.random(n, tau, side, RandomStream(seed))
     placed = world._index
     # the same world with the index forgotten: its first query rebuilds it from the legs at 0
